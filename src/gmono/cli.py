@@ -54,15 +54,12 @@ class RunConfig:
     grid: int = 512
     seed: int = 0
     fmt: str = "text"
-    jobs: int = 1  # evaluation is pure; >1 reserved for worker pools
 
     def __post_init__(self):
         if min(self.tol_eq, self.quad_abs, self.quad_rel) <= 0:
             raise ValueError("tolerances must be positive")
         if self.grid < 2:
             raise ValueError("grid size must be >= 2")
-        if self.jobs < 1:
-            raise ValueError("parallelism degree must be >= 1")
 
     @property
     def quad(self) -> QuadConfig:
@@ -78,6 +75,21 @@ def _num(v: float, fmt: str) -> object:
 
 
 def _emit(payload: dict, cfg: RunConfig) -> None:
+    try:
+        _write(payload, cfg)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``gmono ... | head``).  Drop the
+        # rest of the output and let the command return its own exit code;
+        # fd 1 goes to devnull so the interpreter's final flush succeeds.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+
+
+def _write(payload: dict, cfg: RunConfig) -> None:
     payload = {"schema": SCHEMA, **payload}
     if cfg.fmt == "json":
         print(json.dumps(payload, sort_keys=True, allow_nan=True))
@@ -365,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--grid", type=int, default=None, help="default grid size")
     ap.add_argument("--quad-abs", type=float, default=None)
     ap.add_argument("--quad-rel", type=float, default=None)
-    ap.add_argument("--jobs", type=int, default=None,
-                    help="parallelism degree (reserved)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("wpoly", help="evaluate a chain polynomial")
@@ -468,7 +478,6 @@ def _config_from(args) -> RunConfig:
         "grid": args.grid if args.grid is not None else base.get("grid", 512),
         "seed": args.seed if args.seed is not None else base.get("seed", 0),
         "fmt": args.format if args.format is not None else base.get("format", "text"),
-        "jobs": args.jobs if args.jobs is not None else base.get("jobs", 1),
     }
     return RunConfig(**merged)
 

@@ -16,14 +16,18 @@ Positive parts multiply by the indicator {x >= t} with the convention
 inf * 0 = 0.  Degree-k interpolation at a point is realized through the
 basis property of the first chain.
 
-Evaluation engines: exact term arithmetic for unit/exponential gauges
-(polynomial-times-exponential ring) and for power gauges (real-power ring),
-a single-level antiderivative shortcut for table gauges that provide one,
-and one numeric chain integrator, ``PanelChain`` (composite Clenshaw-Curtis
-panels summed outward from the chain's anchor), as the generic route for
-both left-anchored and interior-anchored chains.  The generic route is
-deliberately independent of the closed forms so the two can be
-cross-checked.
+Evaluation engine: both families are one descent, evaluated by one
+class.  A start (the gauge w_m for the first chain, the evaluator of
+p_{a;k,j} for the second) is integrated from the anchor (t, or z) and
+multiplied by the next gauge, level by level.  The route is picked once
+per chain: exact term arithmetic when the start has a closed form (the
+polynomial-times-exponential ring for unit/exponential gauges, the
+real-power ring for power gauges), then a single-level antiderivative
+shortcut for table gauges that provide one, then the divergence probe for
+chains anchored at a, and otherwise the numeric chain integrator
+``PanelChain`` (composite Clenshaw-Curtis panels summed outward from the
+anchor).  The numeric route is deliberately independent of the closed
+forms so the two can be cross-checked.
 """
 
 from __future__ import annotations
@@ -78,7 +82,6 @@ class QuadConfig:
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_cheb_nodes: int = 2048
     probe_windows: int = 24
 
     def __post_init__(self):
@@ -156,18 +159,20 @@ class ExpPoly:
                     fact *= d - i
         return out
 
-    def integrate_from(self, t: float) -> "ExpPoly":
+    def integrate_from(self, t: float) -> Optional["ExpPoly"]:
+        """Integral from t; from t = -inf, None when a term fails
+        integrable decay there."""
+        if t == -math.inf:
+            if any(c != 0.0 and r <= _TINY_RATE for (d, r), c in self.terms.items()):
+                return None
+            return self.antiderivative()
         anti = self.antiderivative()
         out = ExpPoly(dict(anti.terms))
         out._add_term(0, 0.0, -anti.eval(t))
         return out
 
-    def integrate_from_neginf(self) -> Optional["ExpPoly"]:
-        """None when any term fails integrable decay at -inf."""
-        for (d, r), c in self.terms.items():
-            if c != 0.0 and r <= _TINY_RATE:
-                return None
-        return self.antiderivative()
+    def times_gauge(self, g: GaugeSpec, level: int) -> "ExpPoly":
+        return self.mul_exp(_lam_getter(g)(level))
 
     def eval(self, x: float) -> float:
         acc = 0.0
@@ -246,18 +251,20 @@ class PowPoly:
             out._add_term(p + 1.0, c / (p + 1.0))
         return out
 
-    def integrate_from(self, t: float) -> "PowPoly":
+    def integrate_from(self, t: float) -> Optional["PowPoly"]:
+        """Integral from t; from t = base, None when a term is not
+        integrable there."""
+        if t == self.base:
+            if any(c != 0.0 and p <= -1.0 + 1e-12 for p, c in self.terms.items()):
+                return None
+            return self.antiderivative()
         anti = self.antiderivative()
         out = PowPoly(self.base, dict(anti.terms))
         out._add_term(0.0, -anti.eval(t))
         return out
 
-    def integrate_from_base(self) -> Optional["PowPoly"]:
-        """Integral from u = 0; None when a term is not integrable there."""
-        for p, c in self.terms.items():
-            if c != 0.0 and p <= -1.0 + 1e-12:
-                return None
-        return self.antiderivative()
+    def times_gauge(self, g: PowerGauge, level: int) -> "PowPoly":
+        return self.mul_power(g.lam(level) - 1.0)
 
     def eval(self, x: float) -> float:
         u = x - self.base
@@ -453,133 +460,130 @@ def _panel_breaks(lo: float, hi: float, finite_left: Optional[float]) -> np.ndar
     return np.linspace(lo, hi, n + 1)
 
 
+def _left_chain(
+    g: GaugeSpec, j: int, m: int, lo: float, hi: float, quad: QuadConfig
+) -> PanelChain:
+    """p_{lo;j,m} on [lo, hi], a truncation of the left-anchored chain.
+
+    Panels refine geometrically toward a finite a, and the outermost gauge
+    factor is applied at query time.
+    """
+    a = g.interval.a
+    return PanelChain(
+        g,
+        levels=range(m - 1, j - 1, -1),
+        breaks=_panel_breaks(lo, hi, a if math.isfinite(a) else None),
+        start_values=lambda xs: g.values(m, xs),
+        quad=quad,
+        defer_final=True,
+    )
+
+
 # ---------------------------------------------------------------------------
-# Per-triple chain evaluators
+# Chain evaluator
 # ---------------------------------------------------------------------------
 
-class _ChainT:
-    """Evaluates p_{t;j,m} (full part) for one (t, j, m) triple."""
+class _Descent:
+    """Evaluates a chain: from ``start``, each of ``levels`` in turn
+    integrates from ``anchor`` and multiplies by that level's gauge.
 
-    def __init__(self, g: GaugeSpec, t: float, j: int, m: int, quad: QuadConfig):
-        if j > m:
-            raise DomainError("need j <= m")
+    p_{t;j,m} starts from the gauge level m (an int) with anchor t, and
+    p_{a,z;i:k:j} starts from the evaluator of p_{a;k,j} with anchor z.
+    The route is picked once: the closed-form descent when the start has an
+    ExpPoly/PowPoly form, then the one-level antiderivative shortcut, then
+    the left-endpoint probe, and otherwise a PanelChain built on first eval.
+    """
+
+    def __init__(self, g: GaugeSpec, start, levels: Sequence[int],
+                 anchor: float, quad: QuadConfig):
         self.g = g
-        self.t = t
-        self.j = j
-        self.m = m
+        self.start = start
+        self.levels = list(levels)
+        self.anchor = anchor
         self.quad = quad
         self.divergent = False
         self._exact = None
-        self._panel = None
+        self._panel: Optional[PanelChain] = None
         self._left_depth: Optional[int] = None
         self._prepare()
 
     def _prepare(self) -> None:
-        g, t, j, m = self.g, self.t, self.j, self.m
-        if j == m:
-            if isinstance(g, (UnitGauge, ExponentialGauge)):
-                self._exact = ExpPoly.exponential(_lam_getter(g)(m))
-            elif isinstance(g, PowerGauge):
-                self._exact = PowPoly(g.base, {g.lam(m) - 1.0: 1.0})
-            return
-        if isinstance(g, (UnitGauge, ExponentialGauge)):
-            lam = _lam_getter(g)
-            if math.isinf(t):
-                poly = _exp_chain_from_neginf(lam, j, m)
-                if poly is None:
-                    self.divergent = True
-                else:
-                    self._exact = poly
-            else:
-                self._exact = _exp_chain(lam, t, j, m)
-            return
-        if isinstance(g, PowerGauge):
+        g, start, levels, t = self.g, self.start, self.levels, self.anchor
+        ring = _gauge_ring(g, start) if isinstance(start, int) else start._exact
+        if isinstance(ring, (ExpPoly, PowPoly)):
             try:
-                if t == g.base:
-                    poly = _pow_chain_from_base(g, j, m)
-                    if poly is None:
-                        self.divergent = True
-                    else:
-                        self._exact = poly
-                else:
-                    self._exact = _pow_chain(g, t, j, m)
+                self._exact = _descend(ring, g, levels, t)
+                self.divergent = self._exact is None
                 return
             except QuadratureError:
                 pass  # logarithmic term: fall back to the numeric route
-        if m == j + 1:
-            anti = g.antideriv(m)
+        if not levels:
+            return
+        if isinstance(start, int) and len(levels) == 1:
+            anti = g.antideriv(start)
             if anti is not None:
                 lo_val = anti(t)
                 if math.isfinite(lo_val):
-                    self._exact = _OneLevel(g, j, anti, lo_val)
+                    self._exact = _OneLevel(g, levels[0], anti, lo_val)
                 else:
                     self.divergent = True  # W(t) = -inf: no integrable decay
                 return
-        if math.isinf(t) or (t == self.g.interval.a and not self.g.interval.left_closed):
-            finite, depth = _probe_left_chain(g, j, m, self.quad)
+        iv = g.interval
+        if math.isinf(t) or (t == iv.a and not iv.left_closed):
+            # Anchored at a, so this is the first chain: start is a level.
+            finite, depth = _probe_left_chain(g, levels[-1], start, self.quad)
             if not finite:
                 self.divergent = True
             else:
                 self._left_depth = depth
-            return
-        # Finite interior anchor: lazy panel chain anchored at t, built on
-        # first eval.
 
-    def _chain_for(self, x: float):
-        g, t, j, m = self.g, self.t, self.j, self.m
-        if self._left_depth is not None:
-            # Left-anchored generic chain: positive integrands, panel route.
-            if self._panel is None or not (self._panel.lo <= x <= self._panel.hi):
-                iv = g.interval
-                x0 = _probe_point(iv)
-                if math.isfinite(iv.a):
-                    anchor = iv.a + (min(x, x0) - iv.a) / 2.0 ** (self._left_depth + 1)
-                else:
-                    anchor = min(
-                        x0 - max(8.0, 2.0 * abs(x0)) * 2.0**self._left_depth,
-                        x - 8.0,
-                    )
-                hi = max(x + 0.5, x0)
-                if math.isfinite(iv.b):
-                    hi = min(hi, iv.b)
-                finite_a = iv.a if math.isfinite(iv.a) else None
-                self._panel = PanelChain(
-                    g,
-                    levels=range(m - 1, j - 1, -1),
-                    breaks=_panel_breaks(anchor, hi, finite_a),
-                    start_values=lambda xs: g.values(m, xs),
-                    quad=self.quad,
-                    defer_final=True,
-                )
+    def _start_values(self, xs: np.ndarray) -> np.ndarray:
+        if isinstance(self.start, int):
+            return self.g.values(self.start, xs)
+        return np.array([self.start.eval(float(u)) for u in xs])
+
+    def _chain_for(self, x: float) -> PanelChain:
+        if self._panel is not None and self._panel.lo <= x <= self._panel.hi:
             return self._panel
-        if self._panel is None or not (self._panel.lo <= x <= self._panel.hi):
-            pad = 0.5 * (1.0 + abs(x - t))
-            lo = min(t, x) - pad
-            hi = max(t, x) + pad
-            iv = g.interval
+        g, t, iv = self.g, self.anchor, self.g.interval
+        if self._left_depth is not None:
+            # Left-anchored: truncate past the probe's last window.
+            x0 = _probe_point(iv)
             if math.isfinite(iv.a):
-                lo = max(lo, iv.a)
-            if math.isfinite(iv.b):
-                hi = min(hi, iv.b)
-            if not lo < hi:
-                raise DomainError("cannot build working interval")
-            self._panel = PanelChain(
-                g,
-                levels=range(m - 1, j - 1, -1),
-                breaks=_panel_breaks(lo, hi, None),
-                start_values=lambda xs: g.values(m, xs),
-                quad=self.quad,
-                anchor=t,
-            )
+                lo = iv.a + (min(x, x0) - iv.a) / 2.0 ** (self._left_depth + 1)
+            else:
+                lo = min(
+                    x0 - max(8.0, 2.0 * abs(x0)) * 2.0**self._left_depth,
+                    x - 8.0,
+                )
+            hi = min(max(x + 0.5, x0), iv.b)
+            self._panel = _left_chain(g, self.levels[-1], self.start, lo, hi,
+                                      self.quad)
+            return self._panel
+        # Interior anchor: a working interval around the anchor and x.
+        pad = 0.5 * (1.0 + abs(x - t))
+        lo = max(min(t, x) - pad, iv.a)
+        hi = min(max(t, x) + pad, iv.b)
+        if not lo < hi:
+            raise DomainError("cannot build working interval")
+        self._panel = PanelChain(
+            g,
+            levels=self.levels,
+            breaks=_panel_breaks(lo, hi, None),
+            start_values=self._start_values,
+            quad=self.quad,
+            anchor=t,
+        )
         return self._panel
 
     def eval(self, x: float) -> float:
-        g, t, j, m = self.g, self.t, self.j, self.m
-        if j == m:
-            return self._exact.eval(x) if self._exact is not None else g.value(m, x)
+        if not self.levels:
+            if self._exact is not None:
+                return self._exact.eval(x)
+            return self.g.value(self.start, x)
         if self.divergent:
             return math.inf
-        if x == t:
+        if x == self.anchor:
             return 0.0
         if self._exact is not None:
             return self._exact.eval(x)
@@ -599,44 +603,37 @@ class _OneLevel:
         return self.g.value(self.j, x) * (self.anti(x) - self.lo_val)
 
 
+def _chain_t(g: GaugeSpec, t: float, j: int, m: int, quad: QuadConfig) -> _Descent:
+    """p_{t;j,m}: w_m descended through levels m-1, ..., j from t."""
+    if j > m:
+        raise DomainError("need j <= m")
+    return _Descent(g, m, range(m - 1, j - 1, -1), t, quad)
+
+
 def _lam_getter(g: GaugeSpec) -> Callable[[int], float]:
     if isinstance(g, UnitGauge):
         return lambda j: 0.0
     return g.lam  # type: ignore[union-attr]
 
 
-def _exp_chain(lam: Callable[[int], float], t: float, j: int, m: int) -> ExpPoly:
-    p = ExpPoly.exponential(lam(m))
-    for lvl in range(m - 1, j - 1, -1):
-        p = p.integrate_from(t).mul_exp(lam(lvl))
-    return p
+def _gauge_ring(g: GaugeSpec, m: int):
+    """w_m as an ExpPoly or PowPoly; None for a gauge without one."""
+    if isinstance(g, (UnitGauge, ExponentialGauge)):
+        return ExpPoly.exponential(_lam_getter(g)(m))
+    if isinstance(g, PowerGauge):
+        return PowPoly(g.base, {g.lam(m) - 1.0: 1.0})
+    return None
 
 
-def _exp_chain_from_neginf(lam, j: int, m: int) -> Optional[ExpPoly]:
-    p = ExpPoly.exponential(lam(m))
-    for lvl in range(m - 1, j - 1, -1):
-        anti = p.integrate_from_neginf()
-        if anti is None:
+def _descend(ring, g: GaugeSpec, levels: Sequence[int], anchor: float):
+    """The closed-form descent; None when an integral from a singular
+    anchor (-inf, or a power gauge's base) diverges."""
+    for lvl in levels:
+        ring = ring.integrate_from(anchor)
+        if ring is None:
             return None
-        p = anti.mul_exp(lam(lvl))
-    return p
-
-
-def _pow_chain(g: PowerGauge, t: float, j: int, m: int) -> PowPoly:
-    p = PowPoly(g.base, {g.lam(m) - 1.0: 1.0})
-    for lvl in range(m - 1, j - 1, -1):
-        p = p.integrate_from(t).mul_power(g.lam(lvl) - 1.0)
-    return p
-
-
-def _pow_chain_from_base(g: PowerGauge, j: int, m: int) -> Optional[PowPoly]:
-    p = PowPoly(g.base, {g.lam(m) - 1.0: 1.0})
-    for lvl in range(m - 1, j - 1, -1):
-        anti = p.integrate_from_base()
-        if anti is None:
-            return None
-        p = anti.mul_power(g.lam(lvl) - 1.0)
-    return p
+        ring = ring.times_gauge(g, lvl)
+    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -677,23 +674,12 @@ def _probe_left_chain(g: GaugeSpec, j: int, m: int, quad: QuadConfig):
             return x0 - max(8.0, 2.0 * abs(x0)) * 2.0**i
         return a + (x0 - a) / 2.0 ** (i + 1)
 
-    def truncated_value(L: float) -> float:
-        chain = PanelChain(
-            g,
-            levels=range(m - 1, j - 1, -1),
-            breaks=_panel_breaks(L, x0, a if math.isfinite(a) else None),
-            start_values=lambda xs: g.values(m, xs),
-            quad=quad,
-            defer_final=True,
-        )
-        return chain.eval(x0)
-
     vals = []
     incs = []
     decided_at = None
     for i in range(quad.probe_windows):
         try:
-            v = truncated_value(anchor_at(i))
+            v = _left_chain(g, j, m, anchor_at(i), x0, quad).eval(x0)
         except (OverflowError, ZeroDivisionError, GaugeError) as exc:
             # Float range breakdown inside this window; decide from the
             # evidence gathered so far, never by fiat.
@@ -1003,78 +989,9 @@ class WPolyHandle:
 
     def pretty(self) -> str:
         ev = self._full_evaluator()
-        if isinstance(ev, _ChainT) and isinstance(ev._exact, ExpPoly):
-            return ev._exact.pretty()
-        if isinstance(ev, _AZChain) and isinstance(ev._exact, ExpPoly):
+        if isinstance(ev, _Descent) and isinstance(ev._exact, ExpPoly):
             return ev._exact.pretty()
         return f"<{self.tag}{self.family[1:]}:{self.part}>"
-
-
-class _AZChain:
-    """Evaluates p_{a,z;i:k:j} for one (z, i, k, j) tuple."""
-
-    def __init__(self, g: GaugeSpec, z: float, i: int, k: int, j: int,
-                 quad: QuadConfig):
-        if i > k:
-            raise DomainError("need i <= k")
-        if k > j:
-            raise DomainError("need k <= j for the second chain")
-        self.g = g
-        self.z = z
-        self.i = i
-        self.k = k
-        self.j = j
-        self.quad = quad
-        self._exact = None
-        self._start = _ChainT(g, g.interval.a, k, j, quad)
-        if self._start.divergent:
-            raise PreconditionError(
-                f"(k, j) = ({k}, {j}) is not in the finiteness set; "
-                "p_(a;k,j) diverges"
-            )
-        self._panel: Optional[PanelChain] = None
-        self._prepare()
-
-    def _prepare(self):
-        g, z, i, k = self.g, self.z, self.i, self.k
-        start = self._start._exact
-        if isinstance(start, ExpPoly):
-            lam = _lam_getter(g)
-            p = start
-            for lvl in range(k - 1, i - 1, -1):
-                p = p.integrate_from(z).mul_exp(lam(lvl))
-            self._exact = p
-        elif isinstance(start, PowPoly):
-            p = start
-            for lvl in range(k - 1, i - 1, -1):
-                p = p.integrate_from(z).mul_power(g.lam(lvl) - 1.0)
-            self._exact = p
-
-    def eval(self, x: float) -> float:
-        if self.i == self.k:
-            return self._start.eval(x)
-        if self._exact is not None:
-            return self._exact.eval(x)
-        if self._panel is None or not (self._panel.lo <= x <= self._panel.hi):
-            pad = 0.5 * (1.0 + abs(x - self.z))
-            lo = min(self.z, x) - pad
-            hi = max(self.z, x) + pad
-            iv = self.g.interval
-            if math.isfinite(iv.a):
-                lo = max(lo, iv.a)
-            if math.isfinite(iv.b):
-                hi = min(hi, iv.b)
-            self._panel = PanelChain(
-                self.g,
-                levels=range(self.k - 1, self.i - 1, -1),
-                breaks=_panel_breaks(lo, hi, None),
-                start_values=lambda xs: np.array(
-                    [self._start.eval(float(u)) for u in xs]
-                ),
-                quad=self.quad,
-                anchor=self.z,
-            )
-        return self._panel.eval(x)
 
 
 class _InterpSum:
@@ -1082,7 +999,7 @@ class _InterpSum:
 
     def __init__(self, g: GaugeSpec, z: float, coeffs, quad: QuadConfig):
         self.parts = [
-            (c, _ChainT(g, z, 0, l, quad))
+            (c, _chain_t(g, z, 0, l, quad))
             for l, c in enumerate(coeffs)
             if c != 0.0
         ]
@@ -1095,10 +1012,20 @@ def _build_evaluator(g: GaugeSpec, family: tuple, quad: QuadConfig):
     tag = family[0]
     if tag == "chain_t":
         _, t, j, m = family
-        return _ChainT(g, t, j, m, quad)
+        return _chain_t(g, t, j, m, quad)
     if tag == "chain_az":
         _, z, i, k, j = family
-        return _AZChain(g, z, i, k, j, quad)
+        if not i <= k <= j:
+            raise DomainError("need i <= k <= j")
+        start = _chain_t(g, g.interval.a, k, j, quad)
+        if start.divergent:
+            raise PreconditionError(
+                f"(k, j) = ({k}, {j}) is not in the finiteness set; "
+                "p_(a;k,j) diverges"
+            )
+        if i == k:
+            return start
+        return _Descent(g, start, range(k - 1, i - 1, -1), z, quad)
     if tag == "interp":
         _, z, coeffs = family
         return _InterpSum(g, z, coeffs, quad)
@@ -1191,7 +1118,7 @@ def chain_t_two_arg(
     if isinstance(g, (UnitGauge, ExponentialGauge)):
         lam = _lam_getter(g)
         sigma = math.fsum(lam(s) for s in range(j, m + 1))
-        base = _exp_chain(lam, 0.0, j, m) if m > j else ExpPoly.exponential(lam(m))
+        base = _descend(_gauge_ring(g, m), g, range(m - 1, j - 1, -1), 0.0)
 
         def fast(t: float, x: float) -> float:
             return _safe_exp(sigma * t) * base.eval(x - t)
@@ -1203,7 +1130,7 @@ def chain_t_two_arg(
     def slow(t: float, x: float) -> float:
         ev = cache.get(t)
         if ev is None:
-            ev = _ChainT(g, t, j, m, quad)
+            ev = _chain_t(g, t, j, m, quad)
             if len(cache) < 4096:
                 cache[t] = ev
         return ev.eval(x)

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gmono
 from gmono.cli import main
 
 GAUGES_UNIT = {"interval": {"a": "-inf", "b": "inf"}, "kind": "unit", "params": []}
@@ -65,6 +69,30 @@ class TestExitCodes:
             "--gauges", str(gauges), "--k", "1", "--n", "1",
         ])
         assert code == 0
+
+    def test_closed_stdout_keeps_exit_code(self, files):
+        # `gmono ... | head`: the reader is gone before the report is written.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gmono.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from gmono.cli import main; sys.exit(main())",
+                 "--format", "json", "dominate", "--nu1", files["nu1"],
+                 "--nu2", files["nu2"], "--gauges", files["gu"],
+                 "--k", "2", "--n", "2"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert b"Traceback" not in proc.stderr
+        assert b"BrokenPipeError" not in proc.stderr
 
     def test_input_error_is_two(self, files, tmp_path):
         bad = tmp_path / "missing.json"
@@ -176,11 +204,11 @@ class TestSubcommands:
         assert table[(2, 3)] is False and table[(2, 4)] is True
 
     def test_bad_config_rejected(self, files):
-        code = main([
-            "--tol", "-1",
-            "cheb", "--pair", "rho", "rho",
-        ])
-        assert code == 2
+        for argv in (
+            ["--tol", "-1", "cheb", "--pair", "rho", "rho"],
+            ["--jobs", "2", "cheb", "--pair", "rho", "rho"],  # no such flag
+        ):
+            assert main(argv) == 2, argv
 
     def test_cheb_text_prints_full_constant(self, capsys):
         main(["cheb", "--pair", "rho", "rho"])

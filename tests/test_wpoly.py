@@ -120,6 +120,7 @@ class TestChainTValues:
 
     def test_closed_vs_cheb_randomized(self):
         rng = np.random.default_rng(2024)
+        rng_az = np.random.default_rng(2025)
         for _ in range(6):
             lams = [float(v) for v in rng.uniform(-1.2, 1.2, size=5)]
             ge = ExponentialGauge(R, lams)
@@ -133,6 +134,17 @@ class TestChainTValues:
                 assert ht.eval(x) == pytest.approx(
                     he.eval(x), rel=1e-8, abs=1e-11
                 ), (lams, t, j, m, x)
+            # The second chain from z = t: the clone descends from the
+            # numeric start p_(a;k,k) = w_k, the exponential gauge in
+            # closed form.
+            k = int(rng_az.integers(1, 5))
+            i = int(rng_az.integers(0, k))
+            he = chain_az_handle(ge, t, i, k, k)
+            ht = chain_az_handle(tg, t, i, k, k)
+            for x in (t - 1.7, t + 0.4, t + 2.2):
+                assert ht.eval(x) == pytest.approx(
+                    he.eval(x), rel=1e-8, abs=1e-11
+                ), (lams, t, i, k, x)
 
     def test_table_route_near_and_far_from_anchor(self):
         # Interior-anchored panel route against the closed forms.  The first
@@ -274,6 +286,16 @@ class TestChainAZ:
     def test_vanishes_at_z(self):
         for j in (2, 4, 5):
             assert wpoly_eval_az(0.0, 0, 2, j, G61, 0.0) == 0.0
+        # Exactly zero, not the rounding residue of the closed form there.
+        g = ExponentialGauge(Interval(0.0, math.inf), [0.5, -1.0, 1.0, 0.3])
+        assert wpoly_eval_az(1.8, 0, 1, 2, g, 1.8) == 0.0
+
+    def test_power_log_term_takes_numeric_route(self):
+        # w_1 = 1/x: integrating it from z gives ln(x/z), which the
+        # real-power ring cannot hold.
+        g = PowerGauge(Interval(1.0, 5.0), 0.0, [1.0, 0.0, 2.0])
+        h = chain_az_handle(g, 2.8, 0, 1, 1)
+        assert h.eval(1.2) == pytest.approx(math.log(1.2 / 2.8), abs=1e-10)
 
     def test_outside_finiteness_rejected(self):
         with pytest.raises(PreconditionError):
