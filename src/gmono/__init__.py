@@ -86,7 +86,6 @@ from .taylor import (
 from .dual_cone import (
     DominanceReport,
     check_dominance,
-    check_dominance_unit,
     oracle_equivalence,
 )
 from .applications import (

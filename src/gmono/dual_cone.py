@@ -11,7 +11,13 @@ cone iff
 Condition (iii) is certified on a t-grid (atoms + quantiles + an
 arctan-uniform fill); for pure-atom measures under unit gauges the margin
 is piecewise polynomial in t and the check refines to exact per-piece
-minimization.  Any failing condition yields a counterexample cone member.
+minimization.  The worst piece is reported as one more (iii) row, labelled
+"(piece min)", on the grid rows' scale sum m (x - t)_+^n / n!.  Any failing
+condition yields a counterexample cone member.
+
+There is one checker for every gauge sequence.  Unit gauges (w_j = 1, power
+and partial moments) are one instance of it: on an interval iv, call
+``check_dominance(nu1, nu2, ConeSpec(UnitGauge(iv), k, n), s=s, z=z)``.
 
 Infinite values follow the extended-sense rules: +inf on nu1's side of an
 inequality satisfies it; equality conditions must be finite.
@@ -28,13 +34,7 @@ import numpy as np
 from .errors import PreconditionError, UndefinedMomentError
 from .gderiv import ConeSpec, FunctionRep, fn_from_wpoly
 from .intervals import UnitGauge
-from .measures import (
-    MeasureRep,
-    admissibility,
-    central_moment_about,
-    gmoment,
-    partial_moment,
-)
+from .measures import MeasureRep, admissibility, gmoment
 from .wpoly import (
     DEFAULT_QUAD,
     POSITIVE,
@@ -50,7 +50,6 @@ __all__ = [
     "ConditionRow",
     "DominanceReport",
     "check_dominance",
-    "check_dominance_unit",
     "oracle_equivalence",
     "OracleReport",
     "default_t_grid",
@@ -225,78 +224,62 @@ def check_dominance(
     t_grid = sorted(float(t) for t in t_grid)
 
     fs = finiteness_set(g, n, quad)
-    witness = None
-    witness_desc = ""
-
-    cond_i = []
-    for i in range(k):
-        h = chain_t_handle(g, s, 0, i, quad=quad)
-        try:
-            v1, v2 = gmoment(nu1, h), gmoment(nu2, h)
-        except UndefinedMomentError:
-            return _inconclusive(k, s, z, t_grid, tol_eq)
-        row = _equal_row("i", f"p_(s;0,{i})", v1, v2, tol_eq)
-        cond_i.append(row)
-        if not row.satisfied and witness is None:
-            sign = -1.0 if (math.isfinite(row.gap) and row.gap > 0) else 1.0
-            witness = _scaled_fn(h, sign)
-            witness_desc = f"{'-' if sign < 0 else ''}p_(s;0,{i})"
-
-    cond_ii = []
-    for j in fs.F_kn(k):
-        h = chain_az_handle(g, z, 0, k, j, quad=quad)
-        try:
-            v1, v2 = gmoment(nu1, h), gmoment(nu2, h)
-        except UndefinedMomentError:
-            return _inconclusive(k, s, z, t_grid, tol_eq)
-        row = _ordered_row("ii", f"p_(a,z;0:{k}:{j})", v1, v2, tol_eq)
-        cond_ii.append(row)
-        if not row.satisfied and witness is None:
-            witness = fn_from_wpoly(h)
-            witness_desc = f"p_(a,z;0:{k}:{j})"
-
-    cond_iii = []
-    fam = chain_t_two_arg(g, 0, n, quad)
     pure_atoms = nu1.is_pure_atoms and nu2.is_pure_atoms
-    for t in t_grid:
-        if pure_atoms:
-            v1 = _atom_pm(nu1, fam, t)
-            v2 = _atom_pm(nu2, fam, t)
-        else:
-            h = chain_t_handle(g, t, 0, n, part=POSITIVE, quad=quad)
-            try:
-                v1, v2 = gmoment(nu1, h), gmoment(nu2, h)
-            except UndefinedMomentError:
-                return _inconclusive(k, s, z, t_grid, tol_eq)
-        row = _ordered_row("iii", f"t={t:.17g}", v1, v2, tol_eq)
-        cond_iii.append(row)
-        if not row.satisfied and witness is None:
-            witness = fn_from_wpoly(chain_t_handle(g, t, 0, n, part=POSITIVE, quad=quad))
-            witness_desc = f"p+_(t;0,{n}) at t={t:.6g}"
+    rows = {"i": [], "ii": [], "iii": []}
+    first_failure = []  # [(witness, description)] of the first failing row
+
+    def add(row, witness):
+        """Record a row; witness(row) is asked for only by the first failure."""
+        rows[row.family].append(row)
+        if not row.satisfied and not first_failure:
+            first_failure.append(witness(row))
+
+    def moments(h):
+        return gmoment(nu1, h), gmoment(nu2, h)
+
+    def positive_part(t):
+        h = chain_t_handle(g, t, 0, n, part=POSITIVE, quad=quad)
+        return fn_from_wpoly(h), f"p+_(t;0,{n}) at t={t:.6g}"
+
+    try:
+        for i in range(k):
+            h = chain_t_handle(g, s, 0, i, quad=quad)
+            label = f"p_(s;0,{i})"
+            add(_equal_row("i", label, *moments(h), tol_eq),
+                lambda row: _signed_witness(h, row.gap, label))
+        for j in fs.F_kn(k):
+            h = chain_az_handle(g, z, 0, k, j, quad=quad)
+            label = f"p_(a,z;0:{k}:{j})"
+            add(_ordered_row("ii", label, *moments(h), tol_eq),
+                lambda row: (fn_from_wpoly(h), label))
+        fam = chain_t_two_arg(g, 0, n, quad)
+        for t in t_grid:
+            if pure_atoms:
+                v1, v2 = _atom_pm(nu1, fam, t), _atom_pm(nu2, fam, t)
+            else:
+                v1, v2 = moments(chain_t_handle(g, t, 0, n, part=POSITIVE, quad=quad))
+            add(_ordered_row("iii", f"t={t:.17g}", v1, v2, tol_eq),
+                lambda row: positive_part(t))
+    except UndefinedMomentError:
+        return _inconclusive(k, s, z, t_grid, tol_eq)
 
     certification = "grid"
     if pure_atoms and isinstance(g, UnitGauge):
-        extra = _exact_atom_refinement(nu1, nu2, n, iv, tol_eq)
+        extra = _exact_atom_refinement(nu1, nu2, n, iv)
         if extra is not None:
             t_bad, v1, v2 = extra
             row = _ordered_row("iii", f"t={t_bad:.17g} (piece min)", v1, v2, tol_eq)
-            cond_iii.append(row)
-            if not row.satisfied and witness is None:
-                witness = fn_from_wpoly(
-                    chain_t_handle(g, t_bad, 0, n, part=POSITIVE, quad=quad)
-                )
-                witness_desc = f"p+_(t;0,{n}) at t={t_bad:.6g}"
+            add(row, lambda row: positive_part(t_bad))
         certification = "exact-atoms"
 
-    all_rows = cond_i + cond_ii + cond_iii
-    verdict = DOMINATES if all(r.satisfied for r in all_rows) else FAILS
+    witness, witness_desc = first_failure[0] if first_failure else (None, "")
     return DominanceReport(
-        verdict=verdict,
-        cond_i=tuple(cond_i),
-        cond_ii=tuple(cond_ii),
-        cond_iii=tuple(cond_iii),
-        witness=witness if verdict == FAILS else None,
-        witness_desc=witness_desc if verdict == FAILS else "",
+        verdict=FAILS if first_failure else DOMINATES,
+        cond_i=tuple(rows["i"]),
+        cond_ii=tuple(rows["ii"]),
+        cond_iii=tuple(rows["iii"]),
+        witness=witness,
+        witness_desc=witness_desc,
         t_grid=tuple(t_grid),
         certification=certification,
         s=float(s),
@@ -317,14 +300,17 @@ def _mass_gate(nu1: MeasureRep, nu2: MeasureRep, allow: bool) -> None:
             )
 
 
-def _scaled_fn(h: WPolyHandle, sign: float) -> FunctionRep:
+def _signed_witness(h: WPolyHandle, gap: float, label: str):
+    """h, or -h when nu1(h) exceeds nu2(h): a failed equality row's witness."""
+    sign = -1.0 if (math.isfinite(gap) and gap > 0) else 1.0
     base = fn_from_wpoly(h)
-    return FunctionRep(
+    fn = FunctionRep(
         interval=base.interval,
         func=lambda x: sign * base.func(x),
         gauged_data=lambda s_, x: sign * base.gauged_data(s_, x),
         name=f"{sign:+g}*{base.name}",
     )
+    return fn, f"{'-' if sign < 0 else ''}{label}"
 
 
 def _atom_pm(nu: MeasureRep, fam, t: float) -> float:
@@ -352,13 +338,14 @@ def _inconclusive(k, s, z, t_grid, tol_eq) -> DominanceReport:
     )
 
 
-def _exact_atom_refinement(nu1, nu2, n, iv, tol_eq):
+def _exact_atom_refinement(nu1, nu2, n, iv):
     """Exact minimization of the piecewise-polynomial margin in t.
 
     For pure-atom measures under unit gauges the (iii) margin restricted to
     t between consecutive atoms is a degree-n polynomial; minimize each
     piece (and the unbounded end pieces) exactly.  Returns the worst
-    (t, v1, v2) or None when no interior dip below the knot values exists.
+    (t, v1, v2), or None when there is no piece; v1 and v2 are
+    sum m (x - t)_+^n / n!, the p+_{t;0,n} moments of the grid rows.
     """
     knots = sorted({x for x, m in (nu1.atoms + nu2.atoms) if m > 0})
     if not knots:
@@ -399,20 +386,17 @@ def _exact_atom_refinement(nu1, nu2, n, iv, tol_eq):
         for t in cands:
             v = float(poly(t))
             if worst is None or v < worst[0]:
-                v1 = math.fsum(
-                    m * (x - t) ** n if n else m
-                    for x, m in nu1.atoms
-                    if m > 0 and x >= t
-                )
-                v2 = math.fsum(
-                    m * (x - t) ** n if n else m
-                    for x, m in nu2.atoms
-                    if m > 0 and x >= t
-                )
-                worst = (v, t, v1, v2)
+                worst = (v, t)
     if worst is None:
         return None
-    return worst[1], worst[2], worst[3]
+    t = worst[1]
+
+    def moment(nu):
+        return math.fsum(
+            m * (x - t) ** n for x, m in nu.atoms if m > 0 and x >= t
+        ) / math.factorial(n)
+
+    return t, moment(nu1), moment(nu2)
 
 
 def _left_tail_candidates(nu1, nu2, n, first_knot: float) -> list:
@@ -436,137 +420,6 @@ def _left_tail_candidates(nu1, nu2, n, first_knot: float) -> list:
                 return [first_knot - 4.0**j for j in range(1, 12)]
             return []
     return []
-
-
-# ---------------------------------------------------------------------------
-# Unit-gauge specialization (power moments / partial moments)
-# ---------------------------------------------------------------------------
-
-def check_dominance_unit(
-    nu1: MeasureRep,
-    nu2: MeasureRep,
-    k: int,
-    n: int,
-    s: float = 0.0,
-    z: float = 0.0,
-    t_grid: Optional[Sequence[float]] = None,
-    tol_eq: float = 1e-9,
-    interval=None,
-    drop_top_about_a: bool = False,
-    check_admissibility: bool = True,
-    allow_infinite_mass: bool = False,
-) -> DominanceReport:
-    """Unit-gauge dominance via power and partial moments.
-
-    With a = -inf: (i) centered moments about s agree for i < k, (ii) the
-    k-th moment about z is ordered when k <= n, (iii) upper partial moments
-    of order n are ordered on the grid.  With a > -inf, (ii) is replaced by
-    moments about a for j in [k, n]; the j = n member is implied by (iii)
-    and may be dropped.
-    """
-    from .intervals import Interval
-
-    iv = interval if interval is not None else Interval(-math.inf, math.inf)
-    g = UnitGauge(iv)
-    cone = ConeSpec(g, k, n)
-    _mass_gate(nu1, nu2, allow_infinite_mass)
-    branch = ""
-    if check_admissibility:
-        for tag, nu in (("nu1", nu1), ("nu2", nu2)):
-            rep = admissibility(nu, cone)
-            if not rep.usable:
-                raise PreconditionError(
-                    f"{tag} is inadmissible ({rep.case}; witness {rep.witness})"
-                )
-            if rep.case == "exceptional" and not rep.admissible:
-                branch = (
-                    "exceptional (k = n+1 odd, a not in I): conditions apply "
-                    "to the bounded-below test class"
-                )
-    if t_grid is None:
-        t_grid = default_t_grid(nu1, nu2, iv)
-    t_grid = sorted(float(t) for t in t_grid)
-
-    cond_i = []
-    witness = None
-    witness_desc = ""
-    for i in range(k):
-        try:
-            v1 = central_moment_about(nu1, s, i)
-            v2 = central_moment_about(nu2, s, i)
-        except UndefinedMomentError:
-            return _inconclusive(k, s, z, t_grid, tol_eq)
-        row = _equal_row("i", f"(x-s)^{i}", v1, v2, tol_eq)
-        cond_i.append(row)
-        if not row.satisfied and witness is None:
-            sign = -1.0 if (math.isfinite(row.gap) and row.gap > 0) else 1.0
-            h = chain_t_handle(g, s, 0, i)
-            witness = _scaled_fn(h, sign)
-            witness_desc = f"{'-' if sign < 0 else ''}(x-s)^{i}"
-
-    cond_ii = []
-    if math.isinf(iv.a):
-        if k <= n:
-            v1 = central_moment_about(nu1, z, k)
-            v2 = central_moment_about(nu2, z, k)
-            row = _ordered_row("ii", f"(x-z)^{k}", v1, v2, tol_eq)
-            cond_ii.append(row)
-            if not row.satisfied and witness is None:
-                witness = fn_from_wpoly(chain_t_handle(g, z, 0, k))
-                witness_desc = f"(x-z)^{k}"
-    else:
-        top = n - 1 if drop_top_about_a else n
-        for j in range(k, top + 1):
-            v1 = central_moment_about(nu1, iv.a, j)
-            v2 = central_moment_about(nu2, iv.a, j)
-            row = _ordered_row("ii", f"(x-a)^{j}", v1, v2, tol_eq)
-            cond_ii.append(row)
-            if not row.satisfied and witness is None:
-                witness = fn_from_wpoly(chain_t_handle(g, iv.a, 0, j))
-                witness_desc = f"(x-a)^{j}"
-
-    cond_iii = []
-    scale_n = math.factorial(n)
-    for t in t_grid:
-        v1 = partial_moment(nu1, t, n)
-        v2 = partial_moment(nu2, t, n)
-        row = _ordered_row("iii", f"t={t:.17g}", v1, v2, tol_eq)
-        cond_iii.append(row)
-        if not row.satisfied and witness is None:
-            witness = fn_from_wpoly(chain_t_handle(g, t, 0, n, part=POSITIVE))
-            witness_desc = f"(x-t)_+^{n}/{scale_n} at t={t:.6g}"
-
-    certification = "grid"
-    pure_atoms = nu1.is_pure_atoms and nu2.is_pure_atoms
-    if pure_atoms:
-        extra = _exact_atom_refinement(nu1, nu2, n, iv, tol_eq)
-        if extra is not None:
-            t_bad, v1, v2 = extra
-            row = _ordered_row("iii", f"t={t_bad:.17g} (piece min)", v1, v2, tol_eq)
-            cond_iii.append(row)
-            if not row.satisfied and witness is None:
-                witness = fn_from_wpoly(
-                    chain_t_handle(g, t_bad, 0, n, part=POSITIVE)
-                )
-                witness_desc = f"(x-t)_+^{n} at t={t_bad:.6g}"
-        certification = "exact-atoms"
-
-    all_rows = cond_i + cond_ii + cond_iii
-    verdict = DOMINATES if all(r.satisfied for r in all_rows) else FAILS
-    return DominanceReport(
-        verdict=verdict,
-        cond_i=tuple(cond_i),
-        cond_ii=tuple(cond_ii),
-        cond_iii=tuple(cond_iii),
-        witness=witness if verdict == FAILS else None,
-        witness_desc=witness_desc if verdict == FAILS else "",
-        t_grid=tuple(t_grid),
-        certification=certification,
-        s=float(s),
-        z=float(z),
-        tol_eq=tol_eq,
-        branch=branch,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +456,9 @@ def oracle_equivalence(
     Samples random nonnegative combinations of the generating elements
     (signed degree < k basis, nonnegative second-chain terms, nonnegative
     positive parts at random anchors) and verifies that a "dominates"
-    verdict implies nu1(f) >= nu2(f) for every sample, and that a "fails"
-    verdict carries a strictly violating witness.  Finite-atom measures
+    verdict implies nu1(f) >= nu2(f) for every sample (to ``tol``), and that
+    a "fails" verdict carries a witness with nu2(f) - nu1(f) above the
+    ``tol_eq`` threshold the verdict was decided on.  Finite-atom measures
     only: sample integrals are exact sums.
     """
     if not (nu1.is_pure_atoms and nu2.is_pure_atoms):
@@ -662,7 +516,8 @@ def oracle_equivalence(
         w1 = math.fsum(m * w.func(x) for x, m in atoms1)
         w2 = math.fsum(m * w.func(x) for x, m in atoms2)
         witness_gap = w2 - w1
-        if not witness_gap > tol:
+        # Strict on the threshold at which the failing row was decided.
+        if not witness_gap > _tol_eq(w1, tol_eq):
             violations.append(("witness-not-strict", witness_gap))
     return OracleReport(
         verdict=report.verdict,

@@ -7,6 +7,8 @@ inputs and for numerical procedures that failed to reach a conclusion.
 
 from __future__ import annotations
 
+import functools
+
 
 class GmonoError(Exception):
     """Base class for all library errors."""
@@ -38,3 +40,24 @@ class UndefinedMomentError(GmonoError):
 
 class PreconditionError(GmonoError):
     """A documented precondition of an operation does not hold."""
+
+
+def malformed_input_as(error: type):
+    """Decorator for the file-schema readers: a KeyError, ValueError,
+    TypeError or IndexError raised while reading malformed input becomes
+    ``error`` (a GmonoError), which the CLI reports as an input error."""
+
+    def wrap(reader):
+        @functools.wraps(reader)
+        def read(d):
+            try:
+                return reader(d)
+            except (KeyError, ValueError, TypeError, IndexError) as exc:
+                raise error(
+                    f"malformed input to {reader.__name__}: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
+
+        return read
+
+    return wrap

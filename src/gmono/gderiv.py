@@ -38,7 +38,7 @@ from ._jets import (
     jet_sub,
     jet_var,
 )
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, malformed_input_as
 from .intervals import GaugeSpec, Interval, ScaleMap, default_grid, transport_gauges
 from .measures import MeasureRep
 from .wpoly import DEFAULT_QUAD, QuadConfig, WPolyHandle, chain_t_two_arg
@@ -633,6 +633,7 @@ def fn_from_wpoly(p: WPolyHandle) -> FunctionRep:
     )
 
 
+@malformed_input_as(DomainError)
 def function_from_dict(d: dict) -> FunctionRep:
     """Named built-ins for the file interface.
 

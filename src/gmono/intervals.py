@@ -39,7 +39,7 @@ from ._jets import (
     jet_var,
     _jet_sincos,
 )
-from .errors import DomainError, GaugeError
+from .errors import DomainError, GaugeError, malformed_input_as
 
 __all__ = [
     "Interval",
@@ -670,6 +670,7 @@ def interval_to_dict(iv: Interval) -> dict:
     }
 
 
+@malformed_input_as(GaugeError)
 def gauge_from_dict(d: dict) -> GaugeSpec:
     """Build a gauge from its JSON form.
 

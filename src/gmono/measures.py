@@ -28,6 +28,7 @@ from .errors import (
     DomainError,
     PreconditionError,
     UndefinedMomentError,
+    malformed_input_as,
 )
 from .intervals import Interval, interval_from_dict, interval_to_dict
 from .wpoly import WPolyHandle
@@ -634,6 +635,7 @@ def _support_infimum(nu: MeasureRep) -> float:
 # JSON (de)serialization
 # ---------------------------------------------------------------------------
 
+@malformed_input_as(DomainError)
 def measure_from_dict(d: dict) -> MeasureRep:
     iv = interval_from_dict(d["interval"]) if "interval" in d else _REAL_LINE
     atoms = tuple((float(x), float(m)) for x, m in d.get("atoms", []))

@@ -835,6 +835,9 @@ def finiteness_set(
                 return fill(lambda j, m: True, "analytic")
             return fill(lambda j, m: _exp_criterion(g.lam, j, m), "analytic")
 
+    # Levels 0..n must exist (a short TableGauge raises GaugeError here), so
+    # that the probe's GaugeError can only mean a range breakdown.
+    g.shifted(n)
     for m in range(n + 1):
         put(m, m, True)
         for j in range(m - 1, -1, -1):

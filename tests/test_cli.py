@@ -102,6 +102,36 @@ class TestExitCodes:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("bad", [
+        # a table gauge whose params are an object, not a one-name list
+        ("gauges", {"interval": {"a": "-inf", "b": "inf"}, "kind": "table",
+                    "params": {"name": "arctan_cheb"}}),
+        # an atom mass that is not a number
+        ("nu1", {"interval": {"a": "-inf", "b": "inf"}, "atoms": [[0, "x"]]}),
+    ], ids=["table-params-object", "atom-mass-string"])
+    def test_malformed_file_content_is_two(self, files, tmp_path, bad):
+        which, payload = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        paths = {"nu1": files["nu1"], "nu2": files["nu2"], "gauges": files["gu"]}
+        paths[which] = str(path)
+        code = main([
+            "dominate", "--nu1", paths["nu1"], "--nu2", paths["nu2"],
+            "--gauges", paths["gauges"], "--k", "1", "--n", "1",
+        ])
+        assert code == 2
+
+    def test_table_gauge_too_short_for_n_is_two(self, tmp_path, capsys):
+        # arctan_cheb has levels 0 and 1 only: n = 3 is an input error, not
+        # an inconclusive probe.
+        gauges = tmp_path / "arctan.json"
+        gauges.write_text(json.dumps({
+            "interval": {"a": "-inf", "b": "inf"},
+            "kind": "table", "params": ["arctan_cheb"],
+        }))
+        assert main(["finiteness", "--gauges", str(gauges), "--n", "3"]) == 2
+        assert "input error" in capsys.readouterr().err
+
     def test_member_zero_nonmember_one(self, files):
         assert main([
             "cone-check", "--gauges", files["gu"], "--function",

@@ -8,13 +8,15 @@ import pytest
 from gmono import ExponentialGauge, Interval, PreconditionError, UnitGauge
 from gmono.gderiv import ConeSpec, cone_membership
 from gmono.intervals import arctan_cheb_gauges
-from gmono.measures import CauchyPart, MeasureRep, NormalPart
-from gmono.dual_cone import (
-    check_dominance,
-    check_dominance_unit,
-    default_t_grid,
-    oracle_equivalence,
+from gmono.measures import (
+    CauchyPart,
+    MeasureRep,
+    NormalPart,
+    PoissonPart,
+    central_moment_about,
+    partial_moment,
 )
+from gmono.dual_cone import check_dominance, default_t_grid, oracle_equivalence
 
 R = Interval(-math.inf, math.inf)
 GU = UnitGauge(R)
@@ -73,12 +75,6 @@ class TestJensenPair:
             )
             assert rep.verdict == "dominates", (s, z)
 
-    def test_unit_checker_agrees(self):
-        rep = check_dominance_unit(JENSEN_SPREAD, JENSEN_POINT, 2, 2)
-        assert rep.verdict == "dominates"
-        rep2 = check_dominance_unit(JENSEN_POINT, JENSEN_SPREAD, 2, 2)
-        assert rep2.verdict == "fails"
-
 
 class TestConditionStructure:
     def test_inadmissible_rejected(self):
@@ -105,18 +101,16 @@ class TestConditionStructure:
         # checker's (ii) list is empty and verdicts come from (i) + (iii).
         nu1 = MeasureRep(R, atoms=[(0.0, 0.5), (2.0, 0.5)])
         nu2 = MeasureRep(R, atoms=[(1.0, 1.0)])
-        rep = check_dominance_unit(nu1, nu2, 2, 1, s=1.0, z=1.0)
+        rep = check_dominance(nu1, nu2, ConeSpec(GU, 2, 1), s=1.0, z=1.0)
+        # F_(k,n) row for k = n+1 = 2 is {m in [2,1]} = {}
         assert not rep.cond_ii
-        rep_g = check_dominance(nu1, nu2, ConeSpec(GU, 2, 1), s=1.0, z=1.0)
-        # general route: F_(k,n) row for k = n+1 = 2 is {m in [2,1]} = {}
-        assert not rep_g.cond_ii
-        assert rep.verdict == rep_g.verdict
+        assert rep.verdict == "dominates"
 
     def test_infinite_gap_satisfied_on_nu1_side(self):
         # nu1 with a divergent (+inf) moment on condition (ii) still counts.
         nu1 = MeasureRep(R, atoms=[(0.0, 1.0)], continuous=NormalPart(0.0, 1.0))
         nu2 = MeasureRep(R, atoms=[(0.0, 2.0)])
-        rep = check_dominance_unit(nu1, nu2, 1, 1, s=0.0, z=0.0)
+        rep = check_dominance(nu1, nu2, ConeSpec(GU, 1, 1), s=0.0, z=0.0)
         for row in rep.cond_iii:
             assert row.satisfied or row.v1 >= row.v2
 
@@ -139,34 +133,6 @@ class TestConditionStructure:
         )
         assert rep.verdict == "dominates"
         assert "bounded-below test class" in rep.branch
-
-    def test_drop_top_moment_about_a_redundant(self):
-        # Unit gauges with a finite: the j = n member of condition (ii) is
-        # implied by (iii), so dropping it never changes a passing verdict.
-        iv = Interval(0.0, math.inf)
-        rng = np.random.default_rng(17)
-        for _ in range(8):
-            def mk():
-                na = int(rng.integers(1, 5))
-                return MeasureRep(
-                    iv,
-                    atoms=[
-                        (float(rng.uniform(0.2, 4.0)),
-                         float(rng.uniform(0.1, 1.5)))
-                        for _ in range(na)
-                    ],
-                )
-
-            nu1, nu2 = mk(), mk()
-            full = check_dominance_unit(
-                nu1, nu2, 2, 3, s=1.0, z=1.0, interval=iv
-            )
-            dropped = check_dominance_unit(
-                nu1, nu2, 2, 3, s=1.0, z=1.0, interval=iv,
-                drop_top_about_a=True,
-            )
-            if all(r.satisfied for r in full.cond_iii):
-                assert full.verdict == dropped.verdict
 
     def test_default_grid_contains_atoms(self):
         grid = default_t_grid(JENSEN_SPREAD, JENSEN_POINT, R)
@@ -199,6 +165,84 @@ class TestExactAtomRefinement:
         assert rep.verdict == "fails"
 
 
+def _close(v: float, ref: float, tol: float) -> bool:
+    """Agreement relative to 1 + |ref|, the scale of the checker's own
+    equality tolerance."""
+    return abs(v - ref) <= tol * (1.0 + abs(ref))
+
+
+def _unit_pm(nu: MeasureRep, t: float, n: int) -> float:
+    """sum m (x - t)_+^n / n! over the atoms of nu."""
+    return math.fsum(
+        m * (x - t) ** n for x, m in nu.atoms if m > 0 and x >= t
+    ) / math.factorial(n)
+
+
+class TestUnitGaugeClosedForms:
+    """Under unit gauges every row of check_dominance has a closed form in
+    power and partial moments: the chain route must reproduce it."""
+
+    def _measure(self, rng, kind):
+        def atoms():
+            return [
+                (float(rng.uniform(-2, 2)), float(rng.uniform(0.1, 1.0)))
+                for _ in range(int(rng.integers(1, 5)))
+            ]
+
+        mean, sd = float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 1.5))
+        if kind == "atoms":
+            return MeasureRep(R, atoms=atoms())
+        if kind == "normal":
+            return MeasureRep(R, continuous=NormalPart(mean, sd))
+        if kind == "poisson":
+            scale = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.0))
+            return MeasureRep(
+                R, continuous=PoissonPart(float(rng.uniform(0.5, 3.0)), scale=scale)
+            )
+        return MeasureRep(R, atoms=atoms(), continuous=NormalPart(mean, sd, 0.5))
+
+    def test_rows_match_power_and_partial_moments(self):
+        rng = np.random.default_rng(2024)
+        kinds = ["atoms", "normal", "poisson", "atoms+normal"]
+        for case in range(12):
+            n = int(rng.integers(1, 6))
+            k = int(rng.integers(1, n + 1))
+            s, z = (float(v) for v in rng.uniform(-1, 1, size=2))
+            nu1 = self._measure(rng, kinds[case % 4])
+            nu2 = self._measure(rng, kinds[(case // 4 + case) % 4])
+            rep = check_dominance(
+                nu1, nu2, ConeSpec(GU, k, n), s=s, z=z,
+                t_grid=np.linspace(-4.0, 4.0, 9),
+            )
+            tag = (case, k, n, kinds[case % 4])
+            assert len(rep.cond_i) == k and len(rep.cond_ii) == 1, tag
+            for i, row in enumerate(rep.cond_i):
+                for v, nu in ((row.v1, nu1), (row.v2, nu2)):
+                    ref = central_moment_about(nu, s, i) / math.factorial(i)
+                    assert _close(v, ref, 1e-9), (tag, i, v, ref)
+            for v, nu in ((rep.cond_ii[0].v1, nu1), (rep.cond_ii[0].v2, nu2)):
+                ref = central_moment_about(nu, z, k) / math.factorial(k)
+                assert _close(v, ref, 1e-9), (tag, v, ref)
+            for t, row in zip(rep.t_grid, rep.cond_iii):
+                for v, nu in ((row.v1, nu1), (row.v2, nu2)):
+                    ref = partial_moment(nu, t, n) / math.factorial(n)
+                    assert _close(v, ref, 1e-9), (tag, t, v, ref)
+
+    def test_piece_min_row_on_grid_scale(self):
+        # delta_0 against delta_(1e-8): the exact-atom refinement's row sits
+        # deep in the left tail, where (x - t)^3 is about 7e19.
+        nu1 = MeasureRep(R, atoms=[(0.0, 1.0)])
+        nu2 = MeasureRep(R, atoms=[(1e-8, 1.0)])
+        rep = check_dominance(nu1, nu2, ConeSpec(GU, 1, 3))
+        assert rep.certification == "exact-atoms"
+        assert "(piece min)" in rep.cond_iii[-1].label
+        for row in rep.cond_iii:
+            t = float(row.label[2:].split()[0])
+            for v, nu in ((row.v1, nu1), (row.v2, nu2)):
+                ref = _unit_pm(nu, t, 3)
+                assert _close(v, ref, 1e-12), (row.label, v, ref)
+
+
 class TestProbabilityInstances:
     def test_bernoulli_walk_vs_normal(self):
         # S_5 (fair walk) is dominated by sqrt(5) Z for the order-5 cone.
@@ -206,14 +250,14 @@ class TestProbabilityInstances:
 
         walk = fair_walk(5).sum_measure()
         normal = MeasureRep(R, continuous=NormalPart(0.0, math.sqrt(5.0)))
-        rep = check_dominance_unit(
-            normal, walk, 1, 5, s=0.0, z=0.0,
+        rep = check_dominance(
+            normal, walk, ConeSpec(GU, 1, 5), s=0.0, z=0.0,
             t_grid=np.linspace(-6.0, 6.0, 25),
         )
         assert rep.verdict == "dominates"
         # martingale mode extends to k = 2 (means and second moments align)
-        rep2 = check_dominance_unit(
-            normal, walk, 2, 5, s=0.0, z=0.0,
+        rep2 = check_dominance(
+            normal, walk, ConeSpec(GU, 2, 5), s=0.0, z=0.0,
             t_grid=np.linspace(-6.0, 6.0, 25),
         )
         assert rep2.verdict == "dominates"
@@ -226,16 +270,16 @@ class TestProbabilityInstances:
         m, s = 2.0, 0.5
         pois = MeasureRep(R, continuous=PoissonPart(m * m / s, scale=s / m))
         norm = MeasureRep(R, continuous=NormalPart(m, math.sqrt(s)))
-        rep = check_dominance_unit(
-            reflected(norm), reflected(pois), 1, 3,
+        rep = check_dominance(
+            reflected(norm), reflected(pois), ConeSpec(GU, 1, 3),
             s=-m, z=-m, t_grid=np.linspace(-m - 5, -m + 5, 21),
         )
         assert rep.verdict == "dominates"
 
     def test_identical_normals(self):
         nor = MeasureRep(R, continuous=NormalPart(0.0, 1.0))
-        rep = check_dominance_unit(nor, nor, 2, 3, s=0.0, z=0.0,
-                                   t_grid=np.linspace(-3, 3, 11))
+        rep = check_dominance(nor, nor, ConeSpec(GU, 2, 3), s=0.0, z=0.0,
+                              t_grid=np.linspace(-3, 3, 11))
         assert rep.verdict == "dominates"
         assert all(abs(r.gap) < 1e-12 for r in rep.rows() if math.isfinite(r.gap))
 
@@ -255,6 +299,18 @@ class TestOracleEquivalence:
         assert rep.verdict == "fails"
         assert rep.witness_gap is not None and rep.witness_gap > 1e-7
         assert rep.clean
+
+    def test_witness_strict_at_the_deciding_tolerance(self):
+        # nu1 fails to dominate by 1e-8: well above the 1e-11 equality
+        # tolerance the verdict is decided on, so the witness is strict.
+        rep = oracle_equivalence(
+            MeasureRep(R, atoms=[(0.0, 1.0)]),
+            MeasureRep(R, atoms=[(1e-8, 1.0)]),
+            ConeSpec(GU, 1, 3), trials=50,
+        )
+        assert rep.verdict == "fails"
+        assert rep.witness_gap == pytest.approx(1e-8, rel=1e-6)
+        assert rep.clean, rep.soundness_violations
 
     def test_identical_measures(self):
         rep = oracle_equivalence(
