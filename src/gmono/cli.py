@@ -31,7 +31,7 @@ from .applications import (
     martingale_dominance,
 )
 from .dual_cone import check_dominance
-from .errors import GmonoError, InconclusiveError
+from .errors import DomainError, GmonoError, InconclusiveError
 from .gderiv import ConeSpec, cone_membership, function_from_dict
 from .intervals import default_grid, gauge_from_dict
 from .measures import measure_from_dict
@@ -135,10 +135,13 @@ def _input_error(msg: str) -> int:
 
 def _parse_grid_spec(spec: str) -> np.ndarray:
     """lo:hi:count or a comma list."""
-    if ":" in spec:
-        lo, hi, count = spec.split(":")
-        return np.linspace(float(lo), float(hi), int(count))
-    return np.array([float(v) for v in spec.split(",")])
+    try:
+        if ":" in spec:
+            lo, hi, count = spec.split(":")
+            return np.linspace(float(lo), float(hi), int(count))
+        return np.array([float(v) for v in spec.split(",")])
+    except ValueError as exc:
+        raise DomainError(f"bad grid spec {spec!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -43,13 +43,19 @@ class PreconditionError(GmonoError):
 
 
 def malformed_input_as(error: type):
-    """Decorator for the file-schema readers: a KeyError, ValueError,
-    TypeError or IndexError raised while reading malformed input becomes
-    ``error`` (a GmonoError), which the CLI reports as an input error."""
+    """Decorator for the file-schema readers: input that is not a JSON
+    object, and a KeyError, ValueError, TypeError or IndexError raised while
+    reading malformed input, become ``error`` (a GmonoError), which the CLI
+    reports as an input error."""
 
     def wrap(reader):
         @functools.wraps(reader)
         def read(d):
+            if not isinstance(d, dict):
+                raise error(
+                    f"malformed input to {reader.__name__}: expected an "
+                    f"object, got {type(d).__name__}"
+                )
             try:
                 return reader(d)
             except (KeyError, ValueError, TypeError, IndexError) as exc:

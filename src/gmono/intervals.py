@@ -185,15 +185,27 @@ class GaugeSpec:
         return self.value(j, x)
 
     def values(self, j: int, xs) -> np.ndarray:
-        return np.array(
-            [self.value_lenient(j, float(x)) for x in np.atleast_1d(xs)]
-        )
+        """value_lenient() at every point of xs, as one array; raises what
+        value_lenient() raises."""
+        return self._values(j, np.atleast_1d(np.asarray(xs, dtype=float)))
+
+    def _values(self, j: int, xs: np.ndarray) -> np.ndarray:
+        # Subclasses with array arithmetic for w_j override this loop.
+        return np.array([self.value_lenient(j, x) for x in xs.tolist()])
 
     def params(self) -> dict:
         return {}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} on {self.interval}>"
+
+
+def _raise_overflow(v: np.ndarray, u: np.ndarray, what: str) -> None:
+    """OverflowError where a finite argument u gave an infinite value, as
+    math.exp and float ** raise for one point."""
+    over = np.isinf(v) & np.isfinite(u)
+    if over.any():
+        raise OverflowError(f"{what} overflows at argument {u[np.argmax(over)]}")
 
 
 class UnitGauge(GaugeSpec):
@@ -206,6 +218,9 @@ class UnitGauge(GaugeSpec):
 
     def value(self, j, x):
         return 1.0
+
+    def _values(self, j, xs):
+        return np.ones(xs.shape)
 
     def shifted(self, i):
         return self
@@ -237,6 +252,13 @@ class ExponentialGauge(GaugeSpec):
 
     def value(self, j, x):
         return math.exp(self.lam(j) * x)
+
+    def _values(self, j, xs):
+        u = self.lam(j) * xs
+        with np.errstate(over="ignore", under="ignore"):
+            v = np.exp(u)
+        _raise_overflow(v, u, f"exponential gauge w_{j}")
+        return v
 
     def shifted(self, i):
         if i == 0:
@@ -290,6 +312,17 @@ class PowerGauge(GaugeSpec):
         if u <= 0.0:
             raise DomainError(f"power gauge evaluated at x={x} <= base={self.base}")
         return u ** (self.lam(j) - 1.0)
+
+    def _values(self, j, xs):
+        u = xs - self.base
+        low = u <= 0.0
+        if low.any():
+            x = xs[np.argmax(low)]
+            raise DomainError(f"power gauge evaluated at x={x} <= base={self.base}")
+        with np.errstate(over="ignore", under="ignore"):
+            v = u ** (self.lam(j) - 1.0)
+        _raise_overflow(v, u, f"power gauge w_{j}")
+        return v
 
     def shifted(self, i):
         if i == 0:
@@ -364,6 +397,16 @@ class TableGauge(GaugeSpec):
         v = float(self.funcs[self._entry(j)](x))
         if v < 0.0 or math.isnan(v) or v == math.inf:
             raise GaugeError(f"table gauge w_{j}({x}) = {v} out of range")
+        return v
+
+    def _values(self, j, xs):
+        f = self.funcs[self._entry(j)]
+        pts = xs.tolist()
+        v = np.fromiter(map(f, pts), float, len(pts))
+        bad = (v < 0.0) | np.isnan(v) | (v == math.inf)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise GaugeError(f"table gauge w_{j}({pts[i]}) = {v[i]} out of range")
         return v
 
     def shifted(self, i):

@@ -32,6 +32,7 @@ forms so the two can be cross-checked.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -131,18 +132,6 @@ class ExpPoly:
         out = ExpPoly()
         for (d, r), c in self.terms.items():
             out._add_term(d, r + rate, c)
-        return out
-
-    def scaled(self, s: float) -> "ExpPoly":
-        out = ExpPoly()
-        for (d, r), c in self.terms.items():
-            out._add_term(d, r, c * s)
-        return out
-
-    def plus(self, other: "ExpPoly") -> "ExpPoly":
-        out = ExpPoly(dict(self.terms))
-        for (d, r), c in other.terms.items():
-            out._add_term(d, r, c)
         return out
 
     def antiderivative(self) -> "ExpPoly":
@@ -291,29 +280,48 @@ def _cheb_nodes(n: int) -> np.ndarray:
 
 
 def _cheb_coeffs(vals: np.ndarray) -> np.ndarray:
-    """Interpolation coefficients from values at _cheb_nodes(len(vals)-1)."""
-    n = len(vals) - 1
-    v = vals[::-1]  # descending nodes = cos(pi*k/n)
-    ext = np.concatenate([v, v[-2:0:-1]])
-    c = np.fft.rfft(ext).real / n
-    c[0] /= 2.0
-    c[n] /= 2.0
-    return c[: n + 1]
+    """Interpolation coefficients from values at _cheb_nodes(n), one set
+    per row of vals (last axis of length n + 1)."""
+    n = vals.shape[-1] - 1
+    v = vals[..., ::-1]  # descending nodes = cos(pi*k/n)
+    ext = np.concatenate([v, v[..., -2:0:-1]], axis=-1)
+    c = np.fft.rfft(ext, axis=-1).real / n
+    c[..., 0] /= 2.0
+    c[..., n] /= 2.0
+    return c
+
+
+@functools.cache
+def _cheb_cumulative(n: int) -> np.ndarray:
+    """The (n+1)x(n+1) matrix Q with (Q @ v)[i] the integral over
+    [-1, node i] of the interpolant of the values v at _cheb_nodes(n)."""
+    cheb = np.polynomial.chebyshev
+    ic = cheb.chebint(_cheb_coeffs(np.eye(n + 1)), axis=1)  # row k: node k
+    at = cheb.chebvander(_cheb_nodes(n), n + 1) - cheb.chebvander(-1.0, n + 1)
+    return at @ ic.T
+
+
+@functools.cache
+def _at_probes(n: int) -> np.ndarray:
+    """Chebyshev polynomials of degree 0..n (rows) at the 9 equispaced
+    probes of the panels' two-order agreement test (columns)."""
+    return np.polynomial.chebyshev.chebvander(np.linspace(-1.0, 1.0, 9), n).T
 
 
 class PanelChain:
     """Composite Clenshaw-Curtis chain integrator anchored at a break point.
 
-    Level by level, the chain values are fitted per panel by Chebyshev
-    interpolation, integrated exactly on each panel, and the panel
-    integrals are summed outward from the anchor: rightward for panels
-    right of it, leftward and negated for panels left of it.  The running
-    integral is therefore exactly zero at the anchor, and a value near the
-    anchor is built only from the panels between the two, never as the
-    difference of two long sums from a distant edge.  For the left-anchored
-    chains of the divergence probe (anchor = lo) the integrands are
-    positive, so the sums carry no cancellation and values stay relatively
-    accurate many orders of magnitude below their maximum.
+    Level by level, the chain values at every panel's Chebyshev nodes are
+    integrated from each panel's left edge by one product with the cached
+    cumulative-integration matrix of the order, and the panel integrals
+    are summed outward from the anchor by cumulative sums: rightward for
+    panels right of it, leftward and negated for panels left of it.  The
+    running integral is therefore exactly zero at the anchor, and a value
+    near the anchor is built only from the panels between the two, never
+    as the difference of two long sums from a distant edge.  For the
+    left-anchored chains of the divergence probe (anchor = lo) the
+    integrands are positive, so the sums carry no cancellation and values
+    stay relatively accurate many orders of magnitude below their maximum.
     """
 
     def __init__(
@@ -350,80 +358,54 @@ class PanelChain:
         self._coeffs = self._build()
 
     def _run(self, breaks: np.ndarray, order: int):
-        unit = _cheb_nodes(order)
-        xs = np.stack(
-            [
-                breaks[p] + (unit + 1.0) * (breaks[p + 1] - breaks[p]) / 2.0
-                for p in range(len(breaks) - 1)
-            ]
-        )
-        panels = xs.shape[0]
+        width = (breaks[1:] - breaks[:-1])[:, None]
+        xs = breaks[:-1, None] + (_cheb_nodes(order) + 1.0) * width / 2.0
         flat = xs.ravel()
         first_right = int(np.searchsorted(breaks, self.anchor))
         vals = np.asarray(self.start_values(flat), dtype=float).reshape(xs.shape)
-
-        def integral_from_left_edge(p):
-            # Integral of panel p's interpolant from its left edge to each
-            # node, and over the whole panel.
-            half = (breaks[p + 1] - breaks[p]) / 2.0
-            ic = np.polynomial.chebyshev.chebint(_cheb_coeffs(vals[p])) * half
-            base = np.polynomial.chebyshev.chebval(-1.0, ic)
-            return (
-                np.polynomial.chebyshev.chebval(unit, ic) - base,
-                np.polynomial.chebyshev.chebval(1.0, ic) - base,
-            )
+        q_t = _cheb_cumulative(order).T
 
         for lvl in self.levels:
-            cum = np.empty_like(vals)
-            offset = 0.0
-            for p in range(first_right, panels):
-                part, whole = integral_from_left_edge(p)
-                cum[p] = offset + part
-                offset += whole
-            offset = 0.0
-            for p in range(first_right - 1, -1, -1):
-                part, whole = integral_from_left_edge(p)
-                cum[p] = -(offset + (whole - part))
-                offset += whole
-            if lvl == self.final_gauge:
-                vals = cum  # gauge factor deferred to eval()
-            else:
+            # Integral of each panel's interpolant from its left edge to
+            # each node; the last node gives the whole panel.
+            cum = vals @ q_t
+            cum *= width / 2.0
+            whole = cum[:, -1]
+            right = np.cumsum(whole[first_right:-1])
+            left = np.cumsum(whole[:first_right][::-1])[::-1]
+            cum[first_right + 1:] += right[:, None]
+            cum[:first_right] -= left[:, None]
+            vals = cum
+            if lvl != self.final_gauge:  # else the factor is deferred to eval()
                 w = self.gauges.values(lvl, flat).reshape(xs.shape)
                 if np.any((w == 0.0) & (np.abs(cum) > 1e250)):
                     raise QuadratureError(
                         "gauge underflow against a huge integral: float "
                         "range breakdown"
                     )
-                vals = w * cum
-        return [_cheb_coeffs(vals[p]) for p in range(panels)]
+                vals *= w
+        return _cheb_coeffs(vals)
 
     def _build(self):
         # Bisect panels that fail their own two-resolution agreement test;
         # steep gauge factors (large within-panel dynamic range) force
         # narrow panels locally, which a higher order alone cannot fix.
         breaks = self.breaks
-        probes = np.linspace(-1.0, 1.0, 9)
         for _ in range(9):
             lowres = self._run(breaks, 32)
             hires = self._run(breaks, 48)
-            bad = []
-            for p in range(len(breaks) - 1):
-                pv = np.polynomial.chebyshev.chebval(probes, lowres[p])
-                cv = np.polynomial.chebyshev.chebval(probes, hires[p])
-                err = np.max(np.abs(pv - cv))
-                if not err <= self.quad.abs_tol + self.quad.rel_tol * (
-                    1e-30 + np.max(np.abs(cv))
-                ):
-                    bad.append(p)
-            if not bad:
+            cv = hires @ _at_probes(48)
+            err = np.max(np.abs(lowres @ _at_probes(32) - cv), axis=1)
+            tol = self.quad.abs_tol + self.quad.rel_tol * (
+                1e-30 + np.max(np.abs(cv), axis=1)
+            )
+            bad = np.flatnonzero(~(err <= tol))
+            if not len(bad):
                 self.breaks = breaks
                 return hires
             if len(breaks) > 1024:
                 break
-            new = list(breaks)
-            for p in reversed(bad):
-                new.insert(p + 1, 0.5 * (breaks[p] + breaks[p + 1]))
-            breaks = np.asarray(new)
+            breaks = np.insert(breaks, bad + 1, 0.5 * (breaks[bad] + breaks[bad + 1]))
         raise QuadratureError(
             f"panel chain did not converge with {len(breaks) - 1} panels on "
             f"[{self.lo}, {self.hi}]"
@@ -432,6 +414,8 @@ class PanelChain:
     def eval(self, x: float) -> float:
         if not self.lo <= x <= self.hi:
             raise DomainError("query outside working interval")
+        if x == self.anchor and self.levels:
+            return 0.0  # the integral from the anchor to itself
         p = int(np.searchsorted(self.breaks, x, side="right") - 1)
         p = min(max(p, 0), len(self.breaks) - 2)
         a, b = self.breaks[p], self.breaks[p + 1]
@@ -543,37 +527,51 @@ class _Descent:
         return np.array([self.start.eval(float(u)) for u in xs])
 
     def _chain_for(self, x: float) -> PanelChain:
-        if self._panel is not None and self._panel.lo <= x <= self._panel.hi:
-            return self._panel
+        old = self._panel
+        if old is not None and old.lo <= x <= old.hi:
+            return old
         g, t, iv = self.g, self.anchor, self.g.interval
-        if self._left_depth is not None:
-            # Left-anchored: truncate past the probe's last window.
-            x0 = _probe_point(iv)
+        left = self._left_depth is not None
+        if left:
+            # Left-anchored: truncate past the probe's last window, which
+            # ends at the probe point ref.
+            ref = _probe_point(iv)
             if math.isfinite(iv.a):
-                lo = iv.a + (min(x, x0) - iv.a) / 2.0 ** (self._left_depth + 1)
+                lo = iv.a + (min(x, ref) - iv.a) / 2.0 ** (self._left_depth + 1)
             else:
                 lo = min(
-                    x0 - max(8.0, 2.0 * abs(x0)) * 2.0**self._left_depth,
+                    ref - max(8.0, 2.0 * abs(ref)) * 2.0**self._left_depth,
                     x - 8.0,
                 )
-            hi = min(max(x + 0.5, x0), iv.b)
+            hi = min(max(x + 0.5, ref), iv.b)
+        else:
+            # Interior anchor: a working interval around the anchor and x.
+            ref, pad = t, 0.5 * (1.0 + abs(x - t))
+            lo = max(min(t, x) - pad, iv.a)
+            hi = min(max(t, x) + pad, iv.b)
+        if old is not None:
+            # Grow the cover toward x, at least doubling its reach past
+            # ref on that side, and keep the far side, so that queries on
+            # alternating sides do not rebuild it each time.
+            lo, hi = min(lo, old.lo), max(hi, old.hi)
+            if x > old.hi:
+                hi = min(max(hi, 2.0 * old.hi - ref), iv.b)
+            elif not left:  # a left truncation already deepens with x
+                lo = max(min(lo, 2.0 * old.lo - ref), iv.a)
+        if left:
             self._panel = _left_chain(g, self.levels[-1], self.start, lo, hi,
                                       self.quad)
-            return self._panel
-        # Interior anchor: a working interval around the anchor and x.
-        pad = 0.5 * (1.0 + abs(x - t))
-        lo = max(min(t, x) - pad, iv.a)
-        hi = min(max(t, x) + pad, iv.b)
-        if not lo < hi:
+        elif lo < hi:
+            self._panel = PanelChain(
+                g,
+                levels=self.levels,
+                breaks=_panel_breaks(lo, hi, None),
+                start_values=self._start_values,
+                quad=self.quad,
+                anchor=t,
+            )
+        else:
             raise DomainError("cannot build working interval")
-        self._panel = PanelChain(
-            g,
-            levels=self.levels,
-            breaks=_panel_breaks(lo, hi, None),
-            start_values=self._start_values,
-            quad=self.quad,
-            anchor=t,
-        )
         return self._panel
 
     def eval(self, x: float) -> float:

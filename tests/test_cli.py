@@ -108,7 +108,9 @@ class TestExitCodes:
                     "params": {"name": "arctan_cheb"}}),
         # an atom mass that is not a number
         ("nu1", {"interval": {"a": "-inf", "b": "inf"}, "atoms": [[0, "x"]]}),
-    ], ids=["table-params-object", "atom-mass-string"])
+        # a measure file whose top level is an array, not an object
+        ("nu1", [1, 2]),
+    ], ids=["table-params-object", "atom-mass-string", "measure-top-level-array"])
     def test_malformed_file_content_is_two(self, files, tmp_path, bad):
         which, payload = bad
         path = tmp_path / "bad.json"
@@ -120,6 +122,18 @@ class TestExitCodes:
             "--gauges", paths["gauges"], "--k", "1", "--n", "1",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["1:2", "a,b"])
+    @pytest.mark.parametrize("command", ["dominate", "wpoly"])
+    def test_malformed_grid_spec_is_two(self, files, command, spec):
+        if command == "dominate":
+            argv = ["dominate", "--nu1", files["nu1"], "--nu2", files["nu2"],
+                    "--gauges", files["gu"], "--k", "1", "--n", "1",
+                    "--t-grid", spec]
+        else:
+            argv = ["wpoly", "--gauges", files["gu"], "--family", "t", "--t", "0",
+                    "--j", "0", "--m", "2", "--x", spec]
+        assert main(argv) == 2
 
     def test_table_gauge_too_short_for_n_is_two(self, tmp_path, capsys):
         # arctan_cheb has levels 0 and 1 only: n = 3 is an input error, not

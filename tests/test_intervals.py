@@ -97,6 +97,52 @@ class TestGaugeEval:
                     assert math.isfinite(v) and v > 0
 
 
+class TestGaugeValues:
+    XS = np.linspace(-6.0, 6.0, 97)
+
+    @staticmethod
+    def scalar(g, j, xs):
+        return np.array([g.value_lenient(j, float(x)) for x in xs])
+
+    def test_table_bit_identical(self):
+        for g in (arctan_cheb_gauges(), stein_gauges(),
+                  TableGauge(R, [lambda x: math.exp(1.5 * x)])):
+            for j in range(len(g.funcs)):
+                assert np.array_equal(g.values(j, self.XS), self.scalar(g, j, self.XS))
+
+    def test_closed_forms_within_two_ulp(self):
+        cases = [
+            (UnitGauge(R), self.XS),
+            (ExponentialGauge(R, [0.0, 1.0, -2.5, 40.0]), self.XS),
+            (PowerGauge(Interval(0.0, math.inf), 0.0, [0.5, 2.5, -1.3]),
+             np.linspace(1e-6, 50.0, 97)),
+        ]
+        for g, xs in cases:
+            for j in range(4):
+                got, want = g.values(j, xs), self.scalar(g, j, xs)
+                assert np.all(np.abs(got - want) <= 2 * np.spacing(want)), (g, j)
+
+    @pytest.mark.parametrize("g, x, error", [
+        (TableGauge(R, [lambda x: -1.0]), 0.0, GaugeError),
+        (TableGauge(R, [lambda x: math.nan]), 0.0, GaugeError),
+        (TableGauge(R, [lambda x: math.inf]), 0.0, GaugeError),
+        (ExponentialGauge(R, [2.0]), 400.0, OverflowError),
+        (PowerGauge(Interval(0.0, math.inf), 0.0, [-400.0]), 1e-2, OverflowError),
+        (PowerGauge(Interval(0.0, math.inf), 0.0, [2.0]), 0.0, DomainError),
+        (PowerGauge(Interval(0.0, math.inf), 0.0, [2.0]), -1.0, DomainError),
+    ], ids=["table-negative", "table-nan", "table-inf", "exp-overflow",
+            "power-overflow", "power-at-base", "power-below-base"])
+    def test_same_error_as_scalar(self, g, x, error):
+        with pytest.raises(error):
+            g.value_lenient(0, x)
+        with pytest.raises(error):
+            g.values(0, [1.0, x])
+
+    def test_underflow_is_zero(self):
+        g = ExponentialGauge(R, [1.0])
+        assert g.values(0, [-800.0])[0] == 0.0 == g.value_lenient(0, -800.0)
+
+
 class TestShift:
     def test_unit_shift(self):
         g = UnitGauge(R)

@@ -27,6 +27,7 @@ from gmono import (
     wpoly_eval,
     wpoly_eval_az,
 )
+from gmono import wpoly
 from gmono.wpoly import FULL, NEGATIVE, POSITIVE, chain_t_two_arg
 
 R = Interval(-math.inf, math.inf)
@@ -185,6 +186,54 @@ class TestChainTValues:
             h = chain_t_handle(G61, -math.inf, 2, j)
             for x in (-1.0, 0.0, 0.7):
                 assert h.eval(x) == pytest.approx(ref(x), rel=1e-12)
+
+
+class TestPanelChain:
+    @pytest.mark.parametrize("order", [32, 48])
+    def test_cumulative_matrix_matches_chebint(self, order):
+        # Column k: the per-panel chebint/chebval integral of node k's
+        # Lagrange basis function from -1 to every node.
+        cheb = np.polynomial.chebyshev
+        nodes = wpoly._cheb_nodes(order)
+        q = wpoly._cheb_cumulative(order)
+        for k in range(order + 1):
+            ic = cheb.chebint(wpoly._cheb_coeffs(np.eye(order + 1)[k]))
+            col = cheb.chebval(nodes, ic) - cheb.chebval(-1.0, ic)
+            assert np.max(np.abs(q[:, k] - col)) <= 1e-14
+
+    def test_interior_anchor_is_exact_zero(self):
+        # Panels on both sides of the anchor: p_{t;0,1} for the arctan pair
+        # is w_0(x) * (atan x - atan t), negative left of t.
+        g = arctan_cheb_gauges()
+        for t in (0.3, -0.7, 1.234567):
+            pc = wpoly.PanelChain(
+                g, [0], wpoly._panel_breaks(t - 3.0, t + 2.0, None),
+                lambda xs: g.values(1, xs), anchor=t,
+            )
+            assert pc.eval(t) == 0.0
+            for x in (t - 2.5, t - 1e-3, t + 1e-3, t + 1.5):
+                want = (math.pi + math.atan(x)) * (math.atan(x) - math.atan(t))
+                assert pc.eval(x) == pytest.approx(want, rel=1e-10, abs=1e-15)
+
+    def test_alternating_queries_grow_one_cover(self, monkeypatch):
+        # Queries on alternating sides of the anchor grow the working
+        # interval instead of replacing it around each query.
+        builds = []
+
+        class Counting(wpoly.PanelChain):
+            def __init__(self, *args, **kwargs):
+                builds.append(kwargs.get("anchor"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(wpoly, "PanelChain", Counting)
+        xs = [s * float(v) for v in np.linspace(3.0, 0.5, 10) for s in (1.0, -1.0)]
+        alternating = chain_t_handle(table_clone([1.0, 1.0, 1.0]), 0.0, 0, 2)
+        got = {x: alternating.eval(x) for x in xs}
+        assert len(builds) <= 2
+        ascending = chain_t_handle(table_clone([1.0, 1.0, 1.0]), 0.0, 0, 2)
+        for x in sorted(xs):
+            want = ascending.eval(x)
+            assert abs(got[x] - want) <= 1e-12 * (1.0 + abs(want)), x
 
 
 class TestParts:
