@@ -13,14 +13,10 @@ parameter anywhere.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 __all__ = [
     "jet_const",
     "jet_var",
-    "jet_from_derivs",
-    "jet_to_derivs",
-    "jet_add",
     "jet_sub",
     "jet_scale",
     "jet_mul",
@@ -28,8 +24,6 @@ __all__ = [
     "jet_deriv",
     "jet_compose",
     "jet_exp",
-    "jet_sin",
-    "jet_cos",
     "jet_power",
     "jet_log",
 ]
@@ -46,20 +40,6 @@ def jet_var(x0: float, L: int) -> Jet:
     if L == 1:
         return (float(x0),)
     return (float(x0), 1.0) + (0.0,) * (L - 2)
-
-
-def jet_from_derivs(derivs: Sequence[float]) -> Jet:
-    """Convert (g(x0), g'(x0), g''(x0), ...) to Taylor coefficients."""
-    return tuple(d / math.factorial(i) for i, d in enumerate(derivs))
-
-
-def jet_to_derivs(j: Jet) -> tuple:
-    return tuple(c * math.factorial(i) for i, c in enumerate(j))
-
-
-def jet_add(a: Jet, b: Jet) -> Jet:
-    L = min(len(a), len(b))
-    return tuple(a[i] + b[i] for i in range(L))
 
 
 def jet_sub(a: Jet, b: Jet) -> Jet:
@@ -126,16 +106,6 @@ def jet_exp(a: Jet) -> Jet:
             acc += (k + 1) * a[k + 1] * out[n - k]
         out[n + 1] = acc / (n + 1)
     return tuple(out)
-
-
-def jet_sin(a: Jet) -> Jet:
-    s, c = _jet_sincos(a)
-    return s
-
-
-def jet_cos(a: Jet) -> Jet:
-    s, c = _jet_sincos(a)
-    return c
 
 
 def _jet_sincos(a: Jet):

@@ -245,9 +245,6 @@ class StepLaw:
     def mean(self) -> float:
         return math.fsum(v * p for v, p in zip(self.values, self.probs))
 
-    def second_moment(self) -> float:
-        return math.fsum(v * v * p for v, p in zip(self.values, self.probs))
-
 
 @dataclass(frozen=True)
 class MartingaleModel:

@@ -171,7 +171,8 @@ def _cmd_cone_check(args, cfg: RunConfig) -> int:
     f = function_from_dict(_load_json(args.function))
     cone = ConeSpec(g, args.k, args.n)
     grid = default_grid(g.interval, cfg.grid)
-    rep = cone_membership(f, cone, grid=grid, tol=args.tol)
+    tol = 1e-8 if args.tol is None else args.tol
+    rep = cone_membership(f, cone, grid=grid, tol=tol)
     _emit(
         {
             "op": "cone-check",
@@ -402,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-8, dest="tol")
+    # SUPPRESS keeps a global --tol given before the subcommand (default 1e-8).
+    p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_cone_check)
 
     p = sub.add_parser("taylor", help="truncated-lifting convergence table")

@@ -120,11 +120,9 @@ def _interior_point(iv, prefer: float) -> float:
     return hi - min(shift, 1.0) if math.isfinite(hi) else prefer - 1.0
 
 
-def default_t_grid(
-    nu1: MeasureRep, nu2: MeasureRep, iv, n_fill: int = 64
-) -> list:
-    """Atoms of both measures, continuous-part quantile proxies, and an
-    arctan-uniform fill, clipped to the interval."""
+def default_t_grid(nu1: MeasureRep, nu2: MeasureRep, iv) -> list:
+    """Atoms of both measures, continuous-part quantile proxies, and a
+    64-point arctan-uniform fill, clipped to the interval."""
     pts = set()
     for nu in (nu1, nu2):
         for x, m in nu.atoms:
@@ -150,7 +148,7 @@ def default_t_grid(
     span_lo = min(base, default=0.0) - 1.0
     span_hi = max(base, default=0.0) + 1.0
     ta, tb = math.atan(max(lo, span_lo - 8.0)), math.atan(min(hi, span_hi + 8.0))
-    for u in np.linspace(ta, tb, n_fill):
+    for u in np.linspace(ta, tb, 64):
         x = math.tan(u)
         if iv.contains(x):
             pts.add(float(x))
@@ -188,7 +186,6 @@ def check_dominance(
     t_grid: Optional[Sequence[float]] = None,
     tol_eq: float = 1e-9,
     quad: QuadConfig = DEFAULT_QUAD,
-    check_admissibility: bool = True,
     allow_infinite_mass: bool = False,
 ) -> DominanceReport:
     """Decide (nu1, nu2) membership in the dual cone, general gauges.
@@ -201,20 +198,19 @@ def check_dominance(
     iv = g.interval
     _mass_gate(nu1, nu2, allow_infinite_mass)
     branch = ""
-    if check_admissibility:
-        for tag, nu in (("nu1", nu1), ("nu2", nu2)):
-            rep = admissibility(nu, cone)
-            if not rep.usable:
-                raise PreconditionError(
-                    f"{tag} is inadmissible ({rep.case}; witness {rep.witness})"
-                )
-            if rep.case == "exceptional":
-                branch = (
-                    "exceptional (k = n+1 odd, a not in I): conditions apply "
-                    "to the bounded-below test class"
-                    if not rep.admissible
-                    else "exceptional (support bounded away from a)"
-                )
+    for tag, nu in (("nu1", nu1), ("nu2", nu2)):
+        rep = admissibility(nu, cone)
+        if not rep.usable:
+            raise PreconditionError(
+                f"{tag} is inadmissible ({rep.case}; witness {rep.witness})"
+            )
+        if rep.case == "exceptional":
+            branch = (
+                "exceptional (k = n+1 odd, a not in I): conditions apply "
+                "to the bounded-below test class"
+                if not rep.admissible
+                else "exceptional (support bounded away from a)"
+            )
     if s is None:
         s = _pooled_median(nu1, nu2, iv)
     if z is None:
@@ -482,6 +478,12 @@ def oracle_equivalence(
     locs = [x for x, _ in atoms1 + atoms2]
     lo = min(locs) - 2.0
     hi = max(locs) + 2.0
+    # The fixed generators do not depend on the trial: one row per handle,
+    # one column per atom, so a trial's fixed part is one product.
+    H = np.array(
+        [[h.eval(x) for x in locs] for h in basis_low + basis_az]
+    ).reshape(-1, len(locs))
+    split = len(atoms1)
 
     violations = []
     worst = math.inf
@@ -492,19 +494,13 @@ def oracle_equivalence(
         ts = rng.uniform(lo, hi, size=n_parts)
         c_pos = rng.exponential(size=n_parts)
 
-        def f_at(x: float) -> float:
-            acc = 0.0
-            for coef, h in zip(a_signed, basis_low):
-                acc += coef * h.eval(x)
-            for coef, h in zip(b_pos, basis_az):
-                acc += coef * h.eval(x)
+        vals = np.concatenate([a_signed, b_pos]) @ H
+        for col, x in enumerate(locs):
             for coef, t in zip(c_pos, ts):
                 if x >= t:
-                    acc += coef * fam(t, x)
-            return acc
-
-        m1 = math.fsum(m * f_at(x) for x, m in atoms1)
-        m2 = math.fsum(m * f_at(x) for x, m in atoms2)
+                    vals[col] += coef * fam(t, x)
+        m1 = math.fsum(m * v for (_, m), v in zip(atoms1, vals[:split]))
+        m2 = math.fsum(m * v for (_, m), v in zip(atoms2, vals[split:]))
         margin = m1 - m2
         worst = min(worst, margin)
         if report.dominates and margin < -tol * (1.0 + abs(m1) + abs(m2)):

@@ -293,6 +293,56 @@ def cone_membership(
 # Mixtures of positive parts: the canonical cone members
 # ---------------------------------------------------------------------------
 
+class MixtureLevels:
+    """h_{level,y}(x) = integral over t in [y, x] of mu(dt) p_{t;level,n}(x).
+
+    One two-argument chain family per level, built on first use.  The
+    default y = -inf gives the untruncated mixture of positive parts.
+    """
+
+    def __init__(self, mu: MeasureRep, g: GaugeSpec, n: int,
+                 quad: QuadConfig = DEFAULT_QUAD):
+        self.mu = mu
+        self.g = g
+        self.n = n
+        self.quad = quad
+        self._fams = {}
+
+    def value(self, level: int, x: float, y: float = -math.inf) -> float:
+        fn = self._fams.get(level)
+        if fn is None:
+            fn = self._fams[level] = chain_t_two_arg(self.g, level, self.n, self.quad)
+        mu = self.mu
+        acc = 0.0
+        for t, mass in mu.atoms:
+            if mass == 0.0 or t > x or t < y:
+                continue
+            v = fn(t, x)
+            if not math.isfinite(v):
+                raise PreconditionError(f"divergent mixture at level {level}")
+            acc += mass * v
+        if mu.continuous is not None:
+            c = mu.continuous.integrate(
+                lambda t: fn(t, x) if y <= t <= x else 0.0,
+                breakpoints=[v for v in (y, x) if math.isfinite(v)],
+            )
+            if not math.isfinite(c):
+                raise PreconditionError(f"divergent mixture at level {level}")
+            acc += c
+        return acc
+
+    def mass_below(self, x: float, y: float = -math.inf) -> float:
+        """mu([y, x]); for y = -inf the distribution function of mu."""
+        mu = self.mu
+        acc = math.fsum(m for t, m in mu.atoms if y <= t <= x)
+        if mu.continuous is not None:
+            acc += mu.continuous.integrate(
+                lambda t: 1.0 if y <= t <= x else 0.0,
+                breakpoints=[v for v in (y, x) if math.isfinite(v)],
+            )
+        return acc
+
+
 def mixture_function(
     mu: MeasureRep,
     g: GaugeSpec,
@@ -312,50 +362,19 @@ def mixture_function(
     if not 0 <= i <= n:
         raise DomainError("need 0 <= i <= n")
 
-    families = {}
-
-    def fam(level: int):
-        fn = families.get(level)
-        if fn is None:
-            fn = chain_t_two_arg(g, level, n, quad)
-            families[level] = fn
-        return fn
-
-    def h_level(level: int, x: float) -> float:
-        fn = fam(level)
-        acc = 0.0
-        for t, mass in mu.atoms:
-            if mass == 0.0 or t > x:
-                continue
-            v = fn(t, x)
-            if not math.isfinite(v):
-                raise PreconditionError(f"divergent mixture at level {level}")
-            acc += mass * v
-        if mu.continuous is not None:
-            c = mu.continuous.integrate(
-                lambda t: fn(t, x) if t <= x else 0.0, breakpoints=[x]
-            )
-            if not math.isfinite(c):
-                raise PreconditionError(f"divergent mixture at level {level}")
-            acc += c
-        return acc
+    levels = MixtureLevels(mu, g, n, quad)
 
     def value(x: float) -> float:
-        return h_level(i, x)
+        return levels.value(i, x)
 
     def gauged(s: int, x: float) -> float:
         level = i + s
-        if level > n:
+        if level == n + 1:
             # top derivative is the distribution function of mu
-            if level == n + 1:
-                below = math.fsum(m for t, m in mu.atoms if t <= x)
-                if mu.continuous is not None:
-                    below += mu.continuous.integrate(
-                        lambda t: 1.0 if t <= x else 0.0, breakpoints=[x]
-                    )
-                return below
+            return levels.mass_below(x)
+        if level > n:
             raise DomainError(f"mixture derivative order {s} beyond n+1")
-        return h_level(level, x) / g.value(level, x)
+        return levels.value(level, x) / g.value(level, x)
 
     return FunctionRep(
         interval=iv,

@@ -107,10 +107,6 @@ class Interval:
         if not self.contains(x):
             raise DomainError(f"{what} {x} outside interval {self}")
 
-    @property
-    def left_open_at_a(self) -> bool:
-        return not self.left_closed
-
     def reflected(self) -> "Interval":
         return Interval(-self.b, -self.a, self.right_closed, self.left_closed)
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from scipy import integrate as _si
-from scipy.special import ndtr  # Phi, accurate in the tails
 
 from .errors import (
     DomainError,
@@ -117,8 +116,9 @@ class NormalPart(_Component):
     def pm(self, t: float, n: int) -> float:
         c = (t - self.mean) / self.sd
         # M_i = E[Z^i 1{Z > c}]: M_0 = 1-Phi(c), M_1 = phi(c),
-        # M_i = c^(i-1) phi(c) + (i-1) M_(i-2).
-        M = [1.0 - ndtr(c), _phi(c)]
+        # M_i = c^(i-1) phi(c) + (i-1) M_(i-2).  M_0 as erfc keeps the
+        # upper tail relatively accurate where 1 - Phi(c) would cancel to 0.
+        M = [0.5 * math.erfc(c / math.sqrt(2.0)), _phi(c)]
         for i in range(2, n + 1):
             M.append(c ** (i - 1) * _phi(c) + (i - 1) * M[i - 2])
         if n == 0:
@@ -170,8 +170,9 @@ class PoissonPart(_Component):
         if self.lam <= 0 or self.scale == 0 or self.weight < 0:
             raise DomainError("poisson component needs lam > 0, scale != 0")
 
-    def _pmf_iter(self, tail_tol: float = 1e-16):
-        # Deterministic sweep with tail cutoff controlled by neglected mass.
+    def _pmf_iter(self):
+        # Deterministic sweep to lam + 12 sqrt(lam) + 60, past which the
+        # neglected mass is below float resolution.
         lam = self.lam
         kmax = int(lam + 12.0 * math.sqrt(lam) + 60.0)
         p = math.exp(-lam)
@@ -387,9 +388,6 @@ class MeasureRep:
         if self.continuous is not None:
             m += self.continuous.mass()
         return m
-
-    def atom_locations(self) -> list:
-        return sorted({x for x, _ in self.atoms})
 
     def plus(self, other: "MeasureRep") -> "MeasureRep":
         if self.continuous is not None and other.continuous is not None:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .gderiv import ConeSpec, FunctionRep, gauged_derivative
+from .gderiv import ConeSpec, FunctionRep, MixtureLevels, gauged_derivative
 from .intervals import default_grid
 from .measures import MeasureRep
 from .wpoly import (
@@ -30,7 +30,6 @@ from .wpoly import (
     QuadConfig,
     chain_az_handle,
     chain_t_handle,
-    chain_t_two_arg,
     finiteness_set,
     interpolate,
 )
@@ -192,60 +191,6 @@ def taylor_data(
 
 
 # ---------------------------------------------------------------------------
-# Mixture integrals against df^(n), optionally truncated at y
-# ---------------------------------------------------------------------------
-
-class _HFamily:
-    """h_{j,y}(x) = integral over t in [y, x] of df^(n)(t) p_{t;j,n}(x)."""
-
-    def __init__(self, td: TaylorData):
-        self.td = td
-        self._fams = {}
-
-    def _fam(self, level: int):
-        fn = self._fams.get(level)
-        if fn is None:
-            fn = chain_t_two_arg(self.td.cone.gauges, level, self.td.cone.n,
-                                 self.td.quad)
-            self._fams[level] = fn
-        return fn
-
-    def value(self, level: int, x: float, y: float = -math.inf) -> float:
-        if level == self.td.cone.n + 1:
-            return self.mass_below(x, y)
-        fn = self._fam(level)
-        dfn = self.td.dfn
-        acc = 0.0
-        for t, mass in dfn.atoms:
-            if mass == 0.0 or t > x or t < y:
-                continue
-            v = fn(t, x)
-            if not math.isfinite(v):
-                raise PreconditionError("divergent mixture in the expansion")
-            acc += mass * v
-        if dfn.continuous is not None:
-            lo = y
-            c = dfn.continuous.integrate(
-                lambda t: fn(t, x) if lo <= t <= x else 0.0,
-                breakpoints=[v for v in (y, x) if math.isfinite(v)],
-            )
-            if not math.isfinite(c):
-                raise PreconditionError("divergent mixture in the expansion")
-            acc += c
-        return acc
-
-    def mass_below(self, x: float, y: float = -math.inf) -> float:
-        dfn = self.td.dfn
-        acc = math.fsum(m for t, m in dfn.atoms if y <= t <= x)
-        if dfn.continuous is not None:
-            acc += dfn.continuous.integrate(
-                lambda t: 1.0 if y <= t <= x else 0.0,
-                breakpoints=[v for v in (y, x) if math.isfinite(v)],
-            )
-        return acc
-
-
-# ---------------------------------------------------------------------------
 # The expansion itself
 # ---------------------------------------------------------------------------
 
@@ -261,15 +206,13 @@ def taylor_expand(td: TaylorData, j: int, x: float):
     g = td.cone.gauges
     x = float(x)
     p_val = 0.0
-    for i in td.fs.row(j):
-        if i < j:
-            continue
+    for i in td.fs.F_kn(j):
         c = td.limits_at_a.get(i, 0.0)
         if c == 0.0:
             continue
         h = chain_t_handle(g, g.interval.a, j, i, quad=td.quad)
         p_val += c * h.eval(x)
-    h_val = _HFamily(td).value(j, x)
+    h_val = MixtureLevels(td.dfn, g, n, td.quad).value(j, x)
     return p_val, h_val
 
 
@@ -305,7 +248,7 @@ def build_approx(td: TaylorData, z: float, y: float) -> ApproxHandle:
     k, n = td.cone.k, td.cone.n
     if not (iv.a < y <= z < iv.b):
         raise DomainError(f"need a < y <= z < b, got y={y}, z={z}")
-    hfam = _HFamily(td)
+    hfam = MixtureLevels(td.dfn, g, n, td.quad)
 
     az_terms = []
     for j in td.fs.F_kn(k):

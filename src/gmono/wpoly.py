@@ -75,6 +75,7 @@ POSITIVE = "positive"
 NEGATIVE = "negative"
 
 _TINY_RATE = 1e-12
+_PROBE_WINDOWS = 24  # doubling windows of the left-endpoint divergence probe
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,6 @@ class QuadConfig:
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    probe_windows: int = 24
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -675,7 +675,7 @@ def _probe_left_chain(g: GaugeSpec, j: int, m: int, quad: QuadConfig):
     vals = []
     incs = []
     decided_at = None
-    for i in range(quad.probe_windows):
+    for i in range(_PROBE_WINDOWS):
         try:
             v = _left_chain(g, j, m, anchor_at(i), x0, quad).eval(x0)
         except (OverflowError, ZeroDivisionError, GaugeError) as exc:
@@ -734,10 +734,10 @@ def _probe_left_chain(g: GaugeSpec, j: int, m: int, quad: QuadConfig):
                 if r12 >= 0.999 and r23 >= 0.999 and r23 >= r12 * 0.999:
                     return False, None
     if decided_at is not None:
-        return True, quad.probe_windows - 1
+        return True, _PROBE_WINDOWS - 1
     raise InconclusiveError(
         f"divergence probe for p_(a;{j},{m}) did not settle after "
-        f"{quad.probe_windows} doubling windows"
+        f"{_PROBE_WINDOWS} doubling windows"
     )
 
 
@@ -775,9 +775,6 @@ class FinitenessSet:
 
     def column(self, m: int) -> list:
         return [j for j in range(m + 1) if self.contains(j, m)]
-
-    def row(self, j: int) -> list:
-        return [m for m in range(j, self.n + 1) if self.contains(j, m)]
 
     def F_kn(self, k: int) -> list:
         """F_{k,n}: the levels m in [k, n] with p_{a;k,m} finite (row k)."""
@@ -865,7 +862,8 @@ class WPolyHandle:
       ("interp", z, (c_0..c_k))    sum_l c_l p_{z;0,l}.
 
     Gauged derivatives are evaluated through the exact chain identities,
-    never by differencing.  Evaluations are memoized per handle.
+    never by differencing.  A handle builds its evaluator once and reuses
+    it; values are not memoized.
     """
 
     gauges: GaugeSpec
@@ -898,19 +896,6 @@ class WPolyHandle:
         """Value at x; +inf signals analytic divergence of the chain."""
         x = float(x)
         self.gauges.interval.require(x)
-        cache = self._state.setdefault("cache", {})
-        key = (x, self.part)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        val = self._eval_part(x)
-        if len(cache) < 65536:
-            cache[key] = val
-        return val
-
-    __call__ = eval
-
-    def _eval_part(self, x: float) -> float:
         if self.part != FULL:
             t = self.family[1]
             if self.part == POSITIVE and not x >= t:
@@ -918,6 +903,8 @@ class WPolyHandle:
             if self.part == NEGATIVE and not x < t:
                 return 0.0
         return self._full_evaluator().eval(x)
+
+    __call__ = eval
 
     def _full_evaluator(self):
         ev = self._state.get("ev")

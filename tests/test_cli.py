@@ -301,3 +301,24 @@ class TestSubcommands:
         main(["cheb", "--pair", "rho", "rho"])
         out = capsys.readouterr().out
         assert json.loads(out)["schema"] == "gmono/1"
+
+    @pytest.mark.parametrize("argv, tol", [
+        (["--tol", "1e-3", "cone-check"], 1e-3),
+        (["cone-check", "--tol", "1e-3"], 1e-3),
+        (["cone-check"], 1e-8),
+    ])
+    def test_cone_check_tol_reaches_membership(self, files, monkeypatch, argv, tol):
+        from gmono import cli
+
+        seen = []
+        real = cli.cone_membership
+
+        def capture(*args, **kwargs):
+            seen.append(kwargs["tol"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "cone_membership", capture)
+        code = main(argv + ["--gauges", files["gu"], "--function", files["fexp"],
+                            "--k", "1", "--n", "2"])
+        assert code == 0
+        assert seen == [tol]

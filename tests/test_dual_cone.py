@@ -17,6 +17,14 @@ from gmono.measures import (
     partial_moment,
 )
 from gmono.dual_cone import check_dominance, default_t_grid, oracle_equivalence
+from gmono.wpoly import (
+    DEFAULT_QUAD,
+    WPolyHandle,
+    chain_az_handle,
+    chain_t_handle,
+    chain_t_two_arg,
+    finiteness_set,
+)
 
 R = Interval(-math.inf, math.inf)
 GU = UnitGauge(R)
@@ -362,3 +370,90 @@ class TestArctanGaugeDominance:
         assert rep.verdict == "dominates"
         labels = [r.label for r in rep.cond_ii]
         assert labels == ["p_(a,z;0:1:1)"]
+
+
+def reference_margins(nu1, nu2, cone, trials, seed, s):
+    """Per-trial (m1, m2) of the sampled cone members, every generator
+    evaluated afresh at every atom in every trial: the per-atom loop the
+    oracle's basis-by-atom product must reproduce."""
+    g, k, n = cone.gauges, cone.k, cone.n
+    rng = np.random.default_rng(seed)
+    basis_low = [chain_t_handle(g, s, 0, i) for i in range(k)]
+    basis_az = [chain_az_handle(g, s, 0, k, j) for j in finiteness_set(g, n).F_kn(k)]
+    fam = chain_t_two_arg(g, 0, n, DEFAULT_QUAD)
+    atoms1 = [(x, m) for x, m in nu1.atoms if m > 0]
+    atoms2 = [(x, m) for x, m in nu2.atoms if m > 0]
+    locs = [x for x, _ in atoms1 + atoms2]
+    lo, hi = min(locs) - 2.0, max(locs) + 2.0
+    out = []
+    for _ in range(trials):
+        a_signed = rng.normal(size=k)
+        b_pos = rng.exponential(size=len(basis_az))
+        n_parts = int(rng.integers(1, 6))
+        ts = rng.uniform(lo, hi, size=n_parts)
+        c_pos = rng.exponential(size=n_parts)
+
+        def f_at(x):
+            acc = 0.0
+            for coef, h in zip(a_signed, basis_low):
+                acc += coef * h.eval(x)
+            for coef, h in zip(b_pos, basis_az):
+                acc += coef * h.eval(x)
+            for coef, t in zip(c_pos, ts):
+                if x >= t:
+                    acc += coef * fam(t, x)
+            return acc
+
+        out.append((math.fsum(m * f_at(x) for x, m in atoms1),
+                    math.fsum(m * f_at(x) for x, m in atoms2)))
+    return out
+
+
+class TestOracleAgainstPerAtomReference:
+    @pytest.mark.parametrize("gauge_kind", ["unit", "exponential"])
+    def test_matches_reference(self, gauge_kind):
+        rng = np.random.default_rng(11 if gauge_kind == "unit" else 12)
+        verdicts = set()
+        for idx in range(8):
+            n = int(rng.integers(2, 5))
+            nu1, nu2 = random_pair(rng)
+            if idx % 2 == 0:
+                # A rightward shift dominates under unit gauges with k = 1.
+                nu1 = MeasureRep(R, atoms=[(x + 0.5, m) for x, m in nu2.atoms])
+                k = 1
+            else:
+                k = int(rng.integers(1, n + 1))
+            if gauge_kind == "unit" or idx % 2 == 0:
+                g = GU
+            else:
+                g = ExponentialGauge(R, [float(v) for v in rng.uniform(-0.6, 0.9, size=n + 1)])
+            cone = ConeSpec(g, k, n)
+            seed = int(rng.integers(1 << 30))
+            rep = oracle_equivalence(nu1, nu2, cone, trials=40, seed=seed, s=0.25, z=0.25)
+            ref = reference_margins(nu1, nu2, cone, 40, seed, 0.25)
+            worst = min(m1 - m2 for m1, m2 in ref)
+            assert abs(rep.worst_margin - worst) <= 1e-12 * (1.0 + abs(worst))
+            bad = [i for i, (m1, m2) in enumerate(ref)
+                   if m1 - m2 < -1e-7 * (1.0 + abs(m1) + abs(m2))]
+            got = [v[0] for v in rep.soundness_violations if isinstance(v[0], int)]
+            assert got == (bad if rep.verdict == "dominates" else [])
+            verdicts.add(rep.verdict)
+        assert verdicts == {"dominates", "fails"}
+
+    def test_generators_evaluated_once_per_atom(self, monkeypatch):
+        calls = []
+        real = WPolyHandle.eval
+
+        def counting(self, x):
+            calls.append(self.family)
+            return real(self, x)
+
+        monkeypatch.setattr(WPolyHandle, "eval", counting)
+        g = ExponentialGauge(R, [0.3, 0.5, 0.2, 0.4])
+        nu1, nu2 = random_pair(np.random.default_rng(3))
+        counts = []
+        for trials in (1, 200):
+            calls.clear()
+            oracle_equivalence(nu1, nu2, ConeSpec(g, 1, 3), trials=trials, seed=5)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]

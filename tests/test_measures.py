@@ -115,6 +115,15 @@ class TestPartialMoments:
                     oracle, rel=1e-9, abs=1e-12
                 )
 
+    def test_normal_upper_tail_survival(self):
+        # 1 - Phi(c) cancels to 0 beyond c ~ 8.3; the survival function
+        # itself is representable far past that.  References: Q(c) to 17
+        # digits (erfc(c/sqrt 2)/2 at 30-digit precision).
+        for mean, sd, t, q in [(0.0, 1.0, 8.5, 9.4795348222033184e-18),
+                               (0.0, 1.0, 10.0, 7.6198530241605261e-24),
+                               (1.0, 2.0, 41.0, 2.7536241186062337e-89)]:
+            assert NormalPart(mean, sd).pm(t, 0) == pytest.approx(q, rel=1e-13, abs=0.0)
+
     def test_poisson_two_routes_agree(self):
         pp = PoissonPart(10.0, scale=0.2)
         for t in np.linspace(-1.0, 6.0, 29):

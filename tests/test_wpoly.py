@@ -476,11 +476,22 @@ class TestMemoization:
         v1 = h.eval(1.3)
         v2 = h.eval(1.3)
         assert v1 == v2
-        assert (1.3, FULL) in h._state["cache"]
+
+    def test_panel_route_repeat_after_cover_growth(self):
+        # Values are not memoized: a far query grows the panel cover, and
+        # the rebuilt cover must give the first point's value again.
+        h = chain_t_handle(table_clone([0.0, 0.0, 0.0, -1.0, 2.0, 1.0]), 0.0, 0, 5)
+        v1 = h.eval(0.7)
+        ev = h._full_evaluator()
+        before = ev._panel.hi
+        h.eval(9.0)
+        assert ev._panel.hi > before
+        v2 = h.eval(0.7)
+        assert abs(v2 - v1) <= 1e-12 * (1.0 + abs(v1))
 
     def test_concurrent_evaluation(self):
-        # Handles are immutable; concurrent reads (with cache insertion)
-        # must agree with serial evaluation.
+        # Handles are immutable; concurrent reads (which may build the
+        # evaluator) must agree with serial evaluation.
         from concurrent.futures import ThreadPoolExecutor
 
         h = chain_t_handle(G61, 0.0, 0, 5)
