@@ -25,7 +25,6 @@ __all__ = [
     "jet_compose",
     "jet_exp",
     "jet_power",
-    "jet_log",
 ]
 
 Jet = tuple
@@ -142,14 +141,3 @@ def jet_power(a: Jet, p: float) -> Jet:
         out[n + 1] = acc / ((n + 1) * a[0])
     return tuple(out)
 
-
-def jet_log(a: Jet) -> Jet:
-    if a[0] <= 0.0:
-        raise ValueError("jet_log needs a positive constant term")
-    L = len(a)
-    out = [math.log(a[0])] + [0.0] * (L - 1)
-    da = jet_deriv(a)
-    q = jet_div(da, a[: L - 1])
-    for n in range(L - 1):
-        out[n + 1] = q[n] / (n + 1)
-    return tuple(out)

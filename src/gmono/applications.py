@@ -60,6 +60,7 @@ __all__ = [
 
 HALF_PI = math.pi / 2.0
 CHEB_CONSTANT = 384.0 / 245.0
+_MAX_SUPPORT = 200000  # atoms of an exactly enumerated martingale sum
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +267,7 @@ class MartingaleModel:
     def s_total(self) -> float:
         return math.sqrt(math.fsum(st.half_width**2 for st in self.steps))
 
-    def sum_pmf(self, max_support: int = 200000) -> dict:
+    def sum_pmf(self) -> dict:
         """Exact law of the sum by pmf convolution."""
         pmf = {0.0: 1.0}
         for st in self.steps:
@@ -277,7 +278,7 @@ class MartingaleModel:
                         continue
                     key = x + v
                     nxt[key] = nxt.get(key, 0.0) + p * q
-            if len(nxt) > max_support:
+            if len(nxt) > _MAX_SUPPORT:
                 raise PreconditionError(
                     "support too large for exact enumeration; use Monte Carlo"
                 )

@@ -2,7 +2,8 @@
 
 Subcommands: wpoly, cone-check, taylor, dominate, cheb, martingale,
 left-chain, diffineq, selftest.  Exit codes: 0 for holds/dominates/member,
-1 for fails, 2 for input errors, 3 for inconclusive.  Reports are
+1 for fails, 2 for input errors, 3 for inconclusive, 4 for an internal
+error (an unexpected exception; its traceback goes to stderr).  Reports are
 reproducible given identical inputs and seed; JSON output carries the
 schema tag "gmono/1" and 17-significant-digit numbers, text output rounds
 to 6.
@@ -15,6 +16,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +46,7 @@ EXIT_OK = 0
 EXIT_FAILS = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass(frozen=True)
@@ -144,6 +147,17 @@ def _parse_grid_spec(spec: str) -> np.ndarray:
         raise DomainError(f"bad grid spec {spec!r}: {exc}") from exc
 
 
+def _parse_floats(spec: str, sep: str, what: str, count=None) -> list:
+    """The numbers of a sep-separated spec, count of them if given."""
+    try:
+        vals = [float(v) for v in spec.split(sep)]
+    except ValueError as exc:
+        raise DomainError(f"bad {what} {spec!r}: {exc}") from exc
+    if count is not None and len(vals) != count:
+        raise DomainError(f"bad {what} {spec!r}: expected {count} numbers")
+    return vals
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -190,9 +204,9 @@ def _cmd_taylor(args, cfg: RunConfig) -> int:
     g = gauge_from_dict(_load_json(args.gauges))
     f = function_from_dict(_load_json(args.function))
     cone = ConeSpec(g, args.k, args.n)
-    ys = [float(v) for v in args.ys.split(",")]
+    ys = _parse_floats(args.ys, ",", "--ys list")
     if args.window:
-        lo, hi = (float(v) for v in args.window.split(":"))
+        lo, hi = _parse_floats(args.window, ":", "--window", count=2)
     else:
         lo, hi = min(ys) - 2.0, args.z + 3.0
     td = taylor_data(f, cone, window=(lo, hi))
@@ -250,10 +264,15 @@ def _cmd_cheb(args, cfg: RunConfig) -> int:
         if tag == "rho":
             return "rho"
         if tag.startswith("tau:"):
-            return ("tau", float(tag.split(":", 1)[1]))
+            try:
+                return ("tau", float(tag[4:]))
+            except ValueError:
+                pass
         raise SystemExit(_input_error(f"bad pair member {tag!r}"))
 
     if args.scan is not None:
+        if args.scan < 0:
+            raise DomainError(f"--scan needs a grid size >= 0, got {args.scan}")
         ts = [math.tan(u) for u in np.linspace(
             -math.pi / 2 + 0.01, math.pi / 2 - 0.01, args.scan
         )]
@@ -429,10 +448,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_dominate)
 
     p = sub.add_parser("cheb", help="integral association ratio")
-    p.add_argument("--pair", nargs=2, metavar=("F1", "F2"),
-                   help="rho or tau:T")
-    p.add_argument("--scan", type=int, default=None,
-                   help="grid size for the minimum scan")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--pair", nargs=2, metavar=("F1", "F2"),
+                       help="rho or tau:T")
+    which.add_argument("--scan", type=int, default=None,
+                       help="grid size for the minimum scan")
     p.set_defaults(fn=_cmd_cheb)
 
     p = sub.add_parser("martingale", help="normal domination of a fair walk")
@@ -506,6 +526,10 @@ def main(argv=None) -> int:
         return EXIT_INCONCLUSIVE
     except GmonoError as exc:
         return _input_error(str(exc))
+    except Exception:
+        traceback.print_exc()
+        print("internal error", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -186,17 +186,15 @@ def check_dominance(
     t_grid: Optional[Sequence[float]] = None,
     tol_eq: float = 1e-9,
     quad: QuadConfig = DEFAULT_QUAD,
-    allow_infinite_mass: bool = False,
 ) -> DominanceReport:
     """Decide (nu1, nu2) membership in the dual cone, general gauges.
 
-    The default profile accepts finite-mass measures only; pass
-    allow_infinite_mass=True to lift that (the conditions themselves admit
-    infinite measures in the extended sense).
+    Finite-mass measures only, although the conditions themselves admit
+    infinite measures in the extended sense.
     """
     g, k, n = cone.gauges, cone.k, cone.n
     iv = g.interval
-    _mass_gate(nu1, nu2, allow_infinite_mass)
+    _mass_gate(nu1, nu2)
     branch = ""
     for tag, nu in (("nu1", nu1), ("nu2", nu2)):
         rep = admissibility(nu, cone)
@@ -285,15 +283,10 @@ def check_dominance(
     )
 
 
-def _mass_gate(nu1: MeasureRep, nu2: MeasureRep, allow: bool) -> None:
-    if allow:
-        return
+def _mass_gate(nu1: MeasureRep, nu2: MeasureRep) -> None:
     for tag, nu in (("nu1", nu1), ("nu2", nu2)):
         if not math.isfinite(nu.total_mass()):
-            raise PreconditionError(
-                f"{tag} has infinite total mass; pass allow_infinite_mass=True "
-                "to run the extended-sense conditions anyway"
-            )
+            raise PreconditionError(f"{tag} has infinite total mass")
 
 
 def _signed_witness(h: WPolyHandle, gap: float, label: str):

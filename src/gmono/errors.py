@@ -44,9 +44,10 @@ class PreconditionError(GmonoError):
 
 def malformed_input_as(error: type):
     """Decorator for the file-schema readers: input that is not a JSON
-    object, and a KeyError, ValueError, TypeError or IndexError raised while
-    reading malformed input, become ``error`` (a GmonoError), which the CLI
-    reports as an input error."""
+    object, and a KeyError, ValueError, TypeError, IndexError,
+    AttributeError or OverflowError raised while reading malformed input,
+    become ``error`` (a GmonoError), which the CLI reports as an input
+    error."""
 
     def wrap(reader):
         @functools.wraps(reader)
@@ -58,7 +59,8 @@ def malformed_input_as(error: type):
                 )
             try:
                 return reader(d)
-            except (KeyError, ValueError, TypeError, IndexError) as exc:
+            except (KeyError, ValueError, TypeError, IndexError,
+                    AttributeError, OverflowError) as exc:
                 raise error(
                     f"malformed input to {reader.__name__}: "
                     f"{type(exc).__name__}: {exc}"

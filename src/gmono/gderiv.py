@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 _REAL_LINE = Interval(-math.inf, math.inf)
+_CHECK_TOL = 1e-6  # FunctionRep's consistency and right-continuity checks
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +103,7 @@ class FunctionRep:
         j = self.jet(x, r + 1)
         return j[r] * math.factorial(r)
 
-    def check_consistency(self, g: GaugeSpec, n: int, grid, tol: float = 1e-6) -> float:
+    def check_consistency(self, g: GaugeSpec, n: int, grid) -> float:
         """Max gap between supplied gauged data and the analytic chain."""
         if self.gauged_data is None or self.jet is None:
             return 0.0
@@ -112,25 +113,25 @@ class FunctionRep:
                 a = gauged_derivative(self, g, j, float(x), "analytic_chain")
                 b = self.gauged_data(j, float(x))
                 worst = max(worst, abs(a - b))
-        if worst > tol:
+        if worst > _CHECK_TOL:
             raise PreconditionError(
                 f"supplied gauged data disagrees with the ordinary-derivative "
                 f"chain by {worst:.3g}"
             )
         return worst
 
-    def check_fn_right_continuity(self, probes: int = 16, tol: float = 1e-6) -> bool:
-        """One-sided limit check of the top derivative at interior probes."""
+    def check_fn_right_continuity(self) -> bool:
+        """One-sided limit check of the top derivative at 16 interior probes."""
         if self.fn_at is None:
             return True
         iv = self.interval
-        grid = default_grid(iv, probes)
+        grid = default_grid(iv, 16)
         for x in grid:
             x = float(x)
             v = self.fn_at(x)
             steps = [1e-7, 1e-8, 1e-9]
             vals = [self.fn_at(x + h) for h in steps]
-            if abs(vals[-1] - v) > tol * (1.0 + abs(v)) and abs(
+            if abs(vals[-1] - v) > _CHECK_TOL * (1.0 + abs(v)) and abs(
                 vals[-1] - vals[-2]
             ) < abs(vals[0] - v):
                 return False
@@ -592,7 +593,10 @@ def rem_left_example(k: int, n: int) -> FunctionRep:
     degree n+1 at 0.  The gauged (unit) derivatives of orders k..n+1 are
     positive everywhere, so the function is a cone member whose left-end
     growth beats every polynomial of degree k-1 but stays below degree k.
+    Derivative orders stop at 170, past which r! overflows a float.
     """
+    if not 0 <= k <= n + 1 <= 170:
+        raise DomainError(f"need 0 <= k <= n + 1 <= 170, got k={k}, n={n}")
     q = k - 0.5
     sign = (-1.0) ** k
 

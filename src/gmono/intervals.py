@@ -144,7 +144,7 @@ class GaugeSpec:
 
     Subclasses implement value(); they may also provide analytic jets of
     each w_j (for analytic derivative chains) and antiderivatives (for exact
-    single-level integrals).
+    single-level integrals of gauges without a closed-form chain ring).
     """
 
     interval: Interval
@@ -224,9 +224,6 @@ class UnitGauge(GaugeSpec):
     def jet(self, j, x, L):
         return jet_const(1.0, L)
 
-    def antideriv(self, j):
-        return lambda x: x
-
     def smooth_order(self, j):
         return math.inf
 
@@ -264,12 +261,6 @@ class ExponentialGauge(GaugeSpec):
     def jet(self, j, x, L):
         lam = self.lam(j)
         return jet_exp(jet_scale(jet_var(x, L), lam))
-
-    def antideriv(self, j):
-        lam = self.lam(j)
-        if lam == 0.0:
-            return lambda x: x
-        return lambda x: math.exp(lam * x) / lam
 
     def smooth_order(self, j):
         return math.inf
@@ -328,12 +319,6 @@ class PowerGauge(GaugeSpec):
     def jet(self, j, x, L):
         u = jet_sub(jet_var(x, L), jet_const(self.base, L))
         return jet_power(u, self.lam(j) - 1.0)
-
-    def antideriv(self, j):
-        lam = self.lam(j)
-        if lam == 0.0:
-            return lambda x: math.log(x - self.base)
-        return lambda x: (x - self.base) ** lam / lam
 
     def smooth_order(self, j):
         return math.inf

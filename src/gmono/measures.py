@@ -52,6 +52,10 @@ __all__ = [
 _REAL_LINE = Interval(-math.inf, math.inf)
 
 
+def _finite(*vals: float) -> bool:
+    return all(math.isfinite(v) for v in vals)
+
+
 def _phi(z: float) -> float:
     return math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
 
@@ -76,6 +80,19 @@ def _quad(f, a, b, limit=200) -> float:
     if abserr > 1e-6 * (1.0 + abs(val)):
         return math.inf
     return val
+
+
+def _quad_pieces(f, lo, hi, breakpoints, weight, limit=200) -> float:
+    """weight * the integral of f over [lo, hi], one _quad per piece between
+    the breakpoints inside it; inf as soon as a piece is."""
+    edges = [lo] + sorted(p for p in breakpoints if lo < p < hi) + [hi]
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        v = _quad(f, a, b, limit)
+        if not math.isfinite(v):
+            return math.inf
+        total += v
+    return weight * total
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +127,10 @@ class NormalPart(_Component):
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.sd <= 0 or self.weight < 0:
-            raise DomainError("normal component needs sd > 0, weight >= 0")
+        if not (_finite(self.mean, self.sd) and self.sd > 0 and self.weight >= 0):
+            raise DomainError(
+                "normal component needs a finite mean, finite sd > 0, weight >= 0"
+            )
 
     def pm(self, t: float, n: int) -> float:
         c = (t - self.mean) / self.sd
@@ -136,18 +155,11 @@ class NormalPart(_Component):
         return self.weight * m[r]
 
     def integrate(self, f, breakpoints=()) -> float:
-        lo, hi = self.mean - 12 * self.sd, self.mean + 12 * self.sd
-        pts = sorted(p for p in breakpoints if lo < p < hi)
-        edges = [lo] + pts + [hi]
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            v = _quad(
-                lambda x: f(x) * _phi((x - self.mean) / self.sd) / self.sd, a, b
-            )
-            if not math.isfinite(v):
-                return math.inf
-            total += v
-        return self.weight * total
+        return _quad_pieces(
+            lambda x: f(x) * _phi((x - self.mean) / self.sd) / self.sd,
+            self.mean - 12 * self.sd, self.mean + 12 * self.sd,
+            breakpoints, self.weight,
+        )
 
     def reflected(self) -> "NormalPart":
         return NormalPart(-self.mean, self.sd, self.weight)
@@ -167,8 +179,12 @@ class PoissonPart(_Component):
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.lam <= 0 or self.scale == 0 or self.weight < 0:
-            raise DomainError("poisson component needs lam > 0, scale != 0")
+        if not (_finite(self.lam, self.scale, self.shift) and self.lam > 0
+                and self.scale != 0 and self.weight >= 0):
+            raise DomainError(
+                "poisson component needs finite lam > 0, scale != 0 and shift, "
+                "weight >= 0"
+            )
 
     def _pmf_iter(self):
         # Deterministic sweep to lam + 12 sqrt(lam) + 60, past which the
@@ -265,15 +281,10 @@ class CauchyPart(_Component):
 
     def integrate(self, f, breakpoints=()) -> float:
         # Substitute x = tan(u): finite-range integral, exact weight du/pi.
-        pts = sorted(math.atan(p) for p in breakpoints)
-        edges = [-math.pi / 2] + pts + [math.pi / 2]
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            v = _quad(lambda u: f(math.tan(u)) / math.pi, a, b)
-            if not math.isfinite(v):
-                return math.inf
-            total += v
-        return self.weight * total
+        return _quad_pieces(
+            lambda u: f(math.tan(u)) / math.pi, -math.pi / 2, math.pi / 2,
+            [math.atan(p) for p in breakpoints], self.weight,
+        )
 
     def reflected(self) -> "CauchyPart":
         return self
@@ -338,16 +349,10 @@ class DensityPart(_Component):
         return self.weight * _ext_sum(pos, neg)
 
     def integrate(self, f, breakpoints=()) -> float:
-        lo, hi = self.support
-        pts = sorted(p for p in breakpoints if lo < p < hi)
-        edges = [lo] + pts + [hi]
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            v = _quad(lambda x: f(x) * self.pdf(x), a, b, limit=400)
-            if not math.isfinite(v):
-                return math.inf
-            total += v
-        return self.weight * total
+        return _quad_pieces(
+            lambda x: f(x) * self.pdf(x), *self.support, breakpoints,
+            self.weight, limit=400,
+        )
 
     def reflected(self) -> "DensityPart":
         pdf = self.pdf
@@ -372,8 +377,8 @@ class MeasureRep:
     def __post_init__(self):
         norm = []
         for x, mass in self.atoms:
-            if mass < 0:
-                raise DomainError(f"negative atom mass {mass}")
+            if not mass >= 0:
+                raise DomainError(f"atom mass {mass} is not >= 0")
             if not self.interval.contains(x):
                 raise DomainError(f"atom location {x} outside {self.interval}")
             norm.append((float(x), float(mass)))

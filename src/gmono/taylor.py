@@ -46,6 +46,9 @@ __all__ = [
     "growth_exponent",
 ]
 
+_CAUCHY_TOL = 1e-8  # relative gap of successive limit estimates at a
+_DFN_POINTS = 4096  # grid points of the discretized top derivative
+
 
 @dataclass(frozen=True)
 class TaylorData:
@@ -79,12 +82,10 @@ class TaylorData:
         return self._fs
 
 
-def estimate_limits_at_a(
-    f: FunctionRep, cone: ConeSpec, cauchy_tol: float = 1e-8
-) -> dict:
+def estimate_limits_at_a(f: FunctionRep, cone: ConeSpec) -> dict:
     """Estimate f^(i)(a+) for i in [k, n] along a geometric approach to a.
 
-    Requires a Cauchy criterion (successive gaps below cauchy_tol twice in
+    Requires a Cauchy criterion (successive gaps below _CAUCHY_TOL twice in
     a row); fails loudly otherwise.
     """
     g = cone.gauges
@@ -108,7 +109,7 @@ def estimate_limits_at_a(
                 v = gauged_derivative(f, g, i, x)
             except (OverflowError, DomainError):
                 break
-            if prev is not None and abs(v - prev) < cauchy_tol * (1.0 + abs(v)):
+            if prev is not None and abs(v - prev) < _CAUCHY_TOL * (1.0 + abs(v)):
                 hits += 1
                 if hits >= 2:
                     val = v
@@ -124,9 +125,7 @@ def estimate_limits_at_a(
     return out
 
 
-def dfn_from_derivative(
-    fn_at, interval, n_points: int = 4096, window=None
-) -> MeasureRep:
+def dfn_from_derivative(fn_at, interval, window=None) -> MeasureRep:
     """Discretize a nondecreasing top derivative into an atom measure.
 
     Differences on a dense grid; total variation equals the accumulated
@@ -136,9 +135,9 @@ def dfn_from_derivative(
     """
     if window is not None:
         lo, hi = window
-        xs = np.linspace(lo, hi, n_points)
+        xs = np.linspace(lo, hi, _DFN_POINTS)
     else:
-        xs = default_grid(interval, n_points)
+        xs = default_grid(interval, _DFN_POINTS)
     vals = [fn_at(float(x)) for x in xs]
     atoms = []
     for i in range(len(xs) - 1):

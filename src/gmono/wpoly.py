@@ -20,14 +20,17 @@ Evaluation engine: both families are one descent, evaluated by one
 class.  A start (the gauge w_m for the first chain, the evaluator of
 p_{a;k,j} for the second) is integrated from the anchor (t, or z) and
 multiplied by the next gauge, level by level.  The route is picked once
-per chain: exact term arithmetic when the start has a closed form (the
-polynomial-times-exponential ring for unit/exponential gauges, the
-real-power ring for power gauges), then a single-level antiderivative
-shortcut for table gauges that provide one, then the divergence probe for
-chains anchored at a, and otherwise the numeric chain integrator
-``PanelChain`` (composite Clenshaw-Curtis panels summed outward from the
-anchor).  The numeric route is deliberately independent of the closed
-forms so the two can be cross-checked.
+per chain: exact term arithmetic when the start has a closed form, then a
+single-level antiderivative shortcut for table gauges that provide one,
+then the divergence probe for chains anchored at a, and otherwise the
+numeric chain integrator ``PanelChain`` (composite Clenshaw-Curtis panels
+summed outward from the anchor).  The numeric route is deliberately
+independent of the closed forms so the two can be cross-checked.
+
+The closed forms live in one ring, sums of c * u^d * exp(r*u), with u = x
+for unit/exponential gauges and u = log(x - base) for power gauges: there
+w_j = exp((lam_j - 1)*u) and dx = exp(u) du, a logarithmic term (lam_j = 0)
+is a polynomial term in u, and t = base is the anchor u = -inf.
 """
 
 from __future__ import annotations
@@ -106,11 +109,12 @@ def _safe_exp(u: float) -> float:
 # ---------------------------------------------------------------------------
 
 class ExpPoly:
-    """Finite sum of terms c * x^d * exp(r*x), d a nonnegative integer.
+    """Finite sum of terms c * u^d * exp(r*u), d a nonnegative integer.
 
     Closed under multiplication by exponentials and under integration from
-    a finite point, which is exactly what the chain recursion needs for
-    unit/exponential gauges.
+    a finite point or from -inf, which is exactly what the chain recursion
+    needs for unit/exponential gauges (u = x) and power gauges
+    (u = log(x - base)).
     """
 
     __slots__ = ("terms",)
@@ -160,9 +164,6 @@ class ExpPoly:
         out._add_term(0, 0.0, -anti.eval(t))
         return out
 
-    def times_gauge(self, g: GaugeSpec, level: int) -> "ExpPoly":
-        return self.mul_exp(_lam_getter(g)(level))
-
     def eval(self, x: float) -> float:
         acc = 0.0
         dominant = None  # overflowed term with the largest r*x (then degree)
@@ -207,67 +208,6 @@ def _fmt(v: float) -> str:
     if v == int(v) and abs(v) < 1e12:
         return str(int(v))
     return repr(v)
-
-
-class PowPoly:
-    """Finite sum of terms c * u^p with u = x - base and real exponents p."""
-
-    __slots__ = ("base", "terms")
-
-    def __init__(self, base: float, terms: Optional[dict] = None):
-        self.base = base
-        self.terms = terms if terms is not None else {}
-
-    def _add_term(self, p: float, c: float) -> None:
-        if c == 0.0:
-            return
-        self.terms[p] = self.terms.get(p, 0.0) + c
-
-    def mul_power(self, p: float) -> "PowPoly":
-        out = PowPoly(self.base)
-        for q, c in self.terms.items():
-            out._add_term(q + p, c)
-        return out
-
-    def antiderivative(self) -> "PowPoly":
-        out = PowPoly(self.base)
-        for p, c in self.terms.items():
-            if abs(p + 1.0) <= 1e-12:
-                raise QuadratureError(
-                    "power-gauge chain produced a logarithmic term; "
-                    "numeric route required"
-                )
-            out._add_term(p + 1.0, c / (p + 1.0))
-        return out
-
-    def integrate_from(self, t: float) -> Optional["PowPoly"]:
-        """Integral from t; from t = base, None when a term is not
-        integrable there."""
-        if t == self.base:
-            if any(c != 0.0 and p <= -1.0 + 1e-12 for p, c in self.terms.items()):
-                return None
-            return self.antiderivative()
-        anti = self.antiderivative()
-        out = PowPoly(self.base, dict(anti.terms))
-        out._add_term(0.0, -anti.eval(t))
-        return out
-
-    def times_gauge(self, g: PowerGauge, level: int) -> "PowPoly":
-        return self.mul_power(g.lam(level) - 1.0)
-
-    def eval(self, x: float) -> float:
-        u = x - self.base
-        acc = 0.0
-        for p, c in self.terms.items():
-            if u == 0.0:
-                if p > 0:
-                    continue
-                if p == 0:
-                    acc += c
-                    continue
-                return math.inf if c > 0 else -math.inf
-            acc += c * u**p
-        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +414,9 @@ class _Descent:
     p_{t;j,m} starts from the gauge level m (an int) with anchor t, and
     p_{a,z;i:k:j} starts from the evaluator of p_{a;k,j} with anchor z.
     The route is picked once: the closed-form descent when the start has an
-    ExpPoly/PowPoly form, then the one-level antiderivative shortcut, then
-    the left-endpoint probe, and otherwise a PanelChain built on first eval.
+    ExpPoly form (the second chain takes its start's ring as it is), then
+    the one-level antiderivative shortcut, then the left-endpoint probe,
+    and otherwise a PanelChain built on first eval.
     """
 
     def __init__(self, g: GaugeSpec, start, levels: Sequence[int],
@@ -487,6 +428,7 @@ class _Descent:
         self.quad = quad
         self.divergent = False
         self._exact = None
+        self._log_base = _log_base(g)
         self._panel: Optional[PanelChain] = None
         self._left_depth: Optional[int] = None
         self._prepare()
@@ -494,13 +436,10 @@ class _Descent:
     def _prepare(self) -> None:
         g, start, levels, t = self.g, self.start, self.levels, self.anchor
         ring = _gauge_ring(g, start) if isinstance(start, int) else start._exact
-        if isinstance(ring, (ExpPoly, PowPoly)):
-            try:
-                self._exact = _descend(ring, g, levels, t)
-                self.divergent = self._exact is None
-                return
-            except QuadratureError:
-                pass  # logarithmic term: fall back to the numeric route
+        if isinstance(ring, ExpPoly):
+            self._exact = _descend(ring, g, levels, t)
+            self.divergent = self._exact is None
+            return
         if not levels:
             return
         if isinstance(start, int) and len(levels) == 1:
@@ -575,17 +514,18 @@ class _Descent:
         return self._panel
 
     def eval(self, x: float) -> float:
-        if not self.levels:
-            if self._exact is not None:
-                return self._exact.eval(x)
-            return self.g.value(self.start, x)
-        if self.divergent:
-            return math.inf
-        if x == self.anchor:
-            return 0.0
-        if self._exact is not None:
-            return self._exact.eval(x)
-        return self._chain_for(x).eval(x)
+        if self.levels:
+            if self.divergent:
+                return math.inf
+            if x == self.anchor:
+                return 0.0
+        if self._exact is None:
+            if not self.levels:
+                return self.g.value(self.start, x)
+            return self._chain_for(x).eval(x)
+        if self._log_base is not None:
+            x = _log_u(x, self._log_base)
+        return self._exact.eval(x)
 
 
 class _OneLevel:
@@ -608,29 +548,47 @@ def _chain_t(g: GaugeSpec, t: float, j: int, m: int, quad: QuadConfig) -> _Desce
     return _Descent(g, m, range(m - 1, j - 1, -1), t, quad)
 
 
-def _lam_getter(g: GaugeSpec) -> Callable[[int], float]:
+def _ring_rate(g: GaugeSpec) -> Callable[[int], float]:
+    """j -> the rate r of w_j = exp(r*u) in the ring's variable u."""
     if isinstance(g, UnitGauge):
         return lambda j: 0.0
+    if isinstance(g, PowerGauge):
+        return lambda j: g.lam(j) - 1.0
     return g.lam  # type: ignore[union-attr]
 
 
-def _gauge_ring(g: GaugeSpec, m: int):
-    """w_m as an ExpPoly or PowPoly; None for a gauge without one."""
-    if isinstance(g, (UnitGauge, ExponentialGauge)):
-        return ExpPoly.exponential(_lam_getter(g)(m))
-    if isinstance(g, PowerGauge):
-        return PowPoly(g.base, {g.lam(m) - 1.0: 1.0})
+def _log_base(g: GaugeSpec) -> Optional[float]:
+    """The base of the ring's variable u = log(x - base) for a power gauge;
+    None where u = x."""
+    return g.base if isinstance(g, PowerGauge) else None
+
+
+def _log_u(x: float, base: float) -> float:
+    return math.log(x - base) if x > base else -math.inf
+
+
+def _gauge_ring(g: GaugeSpec, m: int) -> Optional[ExpPoly]:
+    """w_m as an ExpPoly in the ring's variable; None for a gauge without
+    one."""
+    if isinstance(g, (UnitGauge, ExponentialGauge, PowerGauge)):
+        return ExpPoly.exponential(_ring_rate(g)(m))
     return None
 
 
-def _descend(ring, g: GaugeSpec, levels: Sequence[int], anchor: float):
-    """The closed-form descent; None when an integral from a singular
-    anchor (-inf, or a power gauge's base) diverges."""
+def _descend(ring: ExpPoly, g: GaugeSpec, levels: Sequence[int], anchor: float):
+    """The closed-form descent in the ring's variable u; None when an
+    integral from u = -inf (t = -inf, or t at a power gauge's base)
+    diverges."""
+    base = _log_base(g)
+    rate = _ring_rate(g)
+    u_t = anchor if base is None else _log_u(anchor, base)
     for lvl in levels:
-        ring = ring.integrate_from(anchor)
+        if base is not None:
+            ring = ring.mul_exp(1.0)  # dx = exp(u) du
+        ring = ring.integrate_from(u_t)
         if ring is None:
             return None
-        ring = ring.times_gauge(g, lvl)
+        ring = ring.mul_exp(rate(lvl))
     return ring
 
 
@@ -933,15 +891,7 @@ class WPolyHandle:
         if isinstance(sub, tuple):  # interp: list of (c, handle) terms
             acc = math.fsum(c * h.eval(x) for c, h in sub)
             return acc / g.value(s, x)
-        lvl = self._deriv_level(s)
-        return sub.eval(x) / g.value(lvl, x)
-
-    def _deriv_level(self, s: int) -> int:
-        if self.tag == "chain_t":
-            return self.family[2] + s
-        if self.tag == "chain_az":
-            return self.family[2] + s
-        return s
+        return sub.eval(x) / g.value(self.family[2] + s, x)  # level j + s
 
     def _deriv_handle(self, s: int):
         """Handle (or term list) whose value / w_level is the s-th derivative."""
@@ -977,7 +927,8 @@ class WPolyHandle:
 
     def pretty(self) -> str:
         ev = self._full_evaluator()
-        if isinstance(ev, _Descent) and isinstance(ev._exact, ExpPoly):
+        if (isinstance(ev, _Descent) and isinstance(ev._exact, ExpPoly)
+                and ev._log_base is None):  # a ring in x, not in log(x - base)
             return ev._exact.pretty()
         return f"<{self.tag}{self.family[1:]}:{self.part}>"
 
@@ -1104,7 +1055,7 @@ def chain_t_two_arg(
     handles with a small cache.
     """
     if isinstance(g, (UnitGauge, ExponentialGauge)):
-        lam = _lam_getter(g)
+        lam = _ring_rate(g)
         sigma = math.fsum(lam(s) for s in range(j, m + 1))
         base = _descend(_gauge_ring(g, m), g, range(m - 1, j - 1, -1), 0.0)
 

@@ -110,18 +110,28 @@ class TestExitCodes:
         ("nu1", {"interval": {"a": "-inf", "b": "inf"}, "atoms": [[0, "x"]]}),
         # a measure file whose top level is an array, not an object
         ("nu1", [1, 2]),
-    ], ids=["table-params-object", "atom-mass-string", "measure-top-level-array"])
-    def test_malformed_file_content_is_two(self, files, tmp_path, bad):
+        # a non-finite Poisson rate (json writes it as Infinity)
+        ("nu1", {"continuous": {"family": "poisson", "lam": math.inf}}),
+        # an atom mass that is NaN, not an infinite total mass
+        ("nu1", {"atoms": [[0.0, math.nan]]}),
+        # an exppoly term that is not an object
+        ("function", {"name": "exppoly", "terms": [5]}),
+    ], ids=["table-params-object", "atom-mass-string", "measure-top-level-array",
+            "poisson-lam-infinity", "atom-mass-nan", "exppoly-term-number"])
+    def test_malformed_file_content_is_two(self, files, tmp_path, capsys, bad):
         which, payload = bad
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         paths = {"nu1": files["nu1"], "nu2": files["nu2"], "gauges": files["gu"]}
         paths[which] = str(path)
-        code = main([
-            "dominate", "--nu1", paths["nu1"], "--nu2", paths["nu2"],
-            "--gauges", paths["gauges"], "--k", "1", "--n", "1",
-        ])
-        assert code == 2
+        if which == "function":
+            argv = ["cone-check", "--gauges", files["gu"], "--function",
+                    str(path), "--k", "1", "--n", "1"]
+        else:
+            argv = ["dominate", "--nu1", paths["nu1"], "--nu2", paths["nu2"],
+                    "--gauges", paths["gauges"], "--k", "1", "--n", "1"]
+        assert main(argv) == 2
+        assert "infinite total mass" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", ["1:2", "a,b"])
     @pytest.mark.parametrize("command", ["dominate", "wpoly"])
@@ -134,6 +144,31 @@ class TestExitCodes:
             argv = ["wpoly", "--gauges", files["gu"], "--family", "t", "--t", "0",
                     "--j", "0", "--m", "2", "--x", spec]
         assert main(argv) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["cheb"],
+        ["cheb", "--pair", "rho", "rho", "--scan", "3"],
+        ["cheb", "--pair", "rho", "tau:x"],
+        ["cheb", "--scan", "-3"],
+    ], ids=["neither", "both", "bad-tau", "negative-scan"])
+    def test_bad_cheb_arguments_are_two(self, argv):
+        assert main(argv) == 2
+
+    @pytest.mark.parametrize("extra", [["--ys=a"], ["--ys=-1", "--window", "3"],
+                                       ["--ys=-1", "--window", "a:1"]])
+    def test_bad_taylor_spec_is_two(self, files, extra):
+        assert main(["taylor", "--gauges", files["gu"], "--function",
+                     files["fexp"], "--k", "1", "--n", "2", *extra]) == 2
+
+    def test_unexpected_exception_is_four(self, files, monkeypatch, capsys):
+        # An internal crash must not read as 1 ("fails").
+        def crash(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(gmono.cli, "finiteness_set", crash)
+        assert main(["finiteness", "--gauges", files["gu"], "--n", "2"]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: injected" in err
 
     def test_table_gauge_too_short_for_n_is_two(self, tmp_path, capsys):
         # arctan_cheb has levels 0 and 1 only: n = 3 is an input error, not

@@ -42,13 +42,24 @@ def table_clone(lams, interval=R):
     )
 
 
-def quad_chain(g, t, j, m, x):
-    """Direct adaptive quadrature of the defining recursion (oracle)."""
+def quad_chain(g, t, j, m, x, w=None):
+    """Direct adaptive quadrature of the defining recursion (oracle); w(j, x)
+    stands in for g.value where the gauge is wanted at a closed base."""
+    w = w or g.value
     if j == m:
-        return g.value(m, x)
-    inner = lambda u: quad_chain(g, t, j + 1, m, u)
+        return w(m, x)
+    inner = lambda u: quad_chain(g, t, j + 1, m, u, w)
     val, _ = squad(inner, t, x, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return g.value(j, x) * val
+    return w(j, x) * val
+
+
+def quad_chain_az(g, z, i, k, j, x, w=None):
+    """p_{a,z;i:k:j} by the same nested quadrature, from p_{a;k,j}."""
+    if i == k:
+        return quad_chain(g, g.interval.a, k, j, x, w)
+    inner = lambda u: quad_chain_az(g, z, i + 1, k, j, u, w)
+    val, _ = squad(inner, z, x, epsabs=1e-12, epsrel=1e-12, limit=200)
+    return (w or g.value)(i, x) * val
 
 
 class TestChainTValues:
@@ -186,6 +197,80 @@ class TestChainTValues:
             h = chain_t_handle(G61, -math.inf, 2, j)
             for x in (-1.0, 0.0, 0.7):
                 assert h.eval(x) == pytest.approx(ref(x), rel=1e-12)
+
+
+class TestPowerGaugeClosedForm:
+    """Power gauges are exponential gauges in u = log(x - base): one ring
+    holds their chains, logarithmic terms (some lam_j = 0) included."""
+
+    LAMS = (-0.5, 0.0, 0.5, 1.0, 2.5)
+
+    @staticmethod
+    def close(got, want):
+        return abs(got - want) <= 1e-9 * (1.0 + abs(want))
+
+    def test_log_term_reproducers(self):
+        # t interior, x below t on (0, inf): (x - 1) - ln x.
+        g = PowerGauge(Interval(0.0, math.inf), 0.0, [1.0, 0.0, 1.0])
+        assert chain_t_handle(g, 1.0, 0, 2).eval(0.3) == pytest.approx(
+            0.50397280432594, rel=1e-13
+        )
+        # t = a, a finite and open above the base: x ln(x/a) - (x - a).
+        g = PowerGauge(Interval(0.5, math.inf), 0.0, [1.0, 1.0, 0.0])
+        assert chain_t_handle(g, 0.5, 0, 2).eval(1.5) == pytest.approx(
+            0.64791843300216, rel=1e-13
+        )
+
+    @pytest.mark.parametrize("base", [0.0, -0.5], ids=["base=a", "base<a"])
+    def test_chains_match_nested_quadrature(self, base):
+        rng = np.random.default_rng(2026)
+        iv = Interval(0.0, math.inf)
+        seen = set()
+        for _ in range(8):
+            lams = [float(v) for v in rng.choice(self.LAMS, size=4)]
+            seen.update(lams)
+            g = PowerGauge(iv, base, lams)
+            fs = finiteness_set(g, 3)
+            j = int(rng.integers(0, 2))
+            m = j + int(rng.integers(1, 3))
+            for t in (iv.a, float(rng.uniform(0.4, 1.6))):
+                h = chain_t_handle(g, t, j, m)
+                for x in (0.15, 1.1, 2.7):
+                    if t == iv.a and not fs.contains(j, m):
+                        assert h.eval(x) == math.inf
+                        continue
+                    want = quad_chain(g, t, j, m, x)
+                    assert self.close(h.eval(x), want), (lams, t, j, m, x)
+            # The second chain, (k, j) in the finiteness set.
+            k = int(rng.integers(1, 3))
+            jj = max(m for m in fs.F_kn(k) if m <= k + 1)
+            z = float(rng.uniform(0.4, 1.6))
+            h = chain_az_handle(g, z, k - 1, k, jj)
+            for x in (0.15, 1.1, 2.7):
+                want = quad_chain_az(g, z, k - 1, k, jj, x)
+                assert self.close(h.eval(x), want), (lams, z, k, jj, x)
+        assert seen == set(self.LAMS)
+
+    def test_closed_base_is_the_limit(self):
+        # [0, 5] with base 0 (every lam >= 1): at x = base the ring sits at
+        # u = -inf and must give the chain's limit, not NaN.
+        lams = [1.0, 2.5, 1.0, 1.5]
+        g = PowerGauge(Interval(0.0, 5.0, left_closed=True), 0.0, lams)
+        w = lambda j, x: x ** (g.lam(j) - 1.0)  # 0.0 ** 0.0 == 1.0
+        for t, j, m in [(1.3, 0, 2), (1.3, 1, 3), (0.0, 0, 3), (2.0, 0, 1)]:
+            h = chain_t_handle(g, t, j, m)
+            for x in (0.0, 0.6, 3.1):
+                want = quad_chain(g, t, j, m, x, w)
+                got = h.eval(x)
+                assert math.isfinite(got) and self.close(got, want), (t, j, m, x)
+        h = chain_az_handle(g, 1.3, 0, 1, 3)
+        for x in (0.0, 0.6, 3.1):
+            assert self.close(h.eval(x), quad_chain_az(g, 1.3, 0, 1, 3, x, w)), x
+
+    def test_pretty_keeps_placeholder(self):
+        # The ring is in u = log(x - base), so it is not printed as if in x.
+        g = PowerGauge(Interval(0.0, math.inf), 0.0, [1.5, 2.0])
+        assert chain_t_handle(g, 1.0, 0, 1).pretty() == "<chain_t(1.0, 0, 1):full>"
 
 
 class TestPanelChain:
@@ -339,9 +424,9 @@ class TestChainAZ:
         g = ExponentialGauge(Interval(0.0, math.inf), [0.5, -1.0, 1.0, 0.3])
         assert wpoly_eval_az(1.8, 0, 1, 2, g, 1.8) == 0.0
 
-    def test_power_log_term_takes_numeric_route(self):
-        # w_1 = 1/x: integrating it from z gives ln(x/z), which the
-        # real-power ring cannot hold.
+    def test_power_log_term_is_exact(self):
+        # w_1 = 1/x: integrating it from z gives ln(x/z), a polynomial term
+        # in u = log(x - base).
         g = PowerGauge(Interval(1.0, 5.0), 0.0, [1.0, 0.0, 2.0])
         h = chain_az_handle(g, 2.8, 0, 1, 1)
         assert h.eval(1.2) == pytest.approx(math.log(1.2 / 2.8), abs=1e-10)
