@@ -25,6 +25,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from scipy import integrate as _si
 
+from .dual_cone import _interior_point
 from .errors import DomainError, PreconditionError
 from .gderiv import FunctionRep
 from .intervals import (
@@ -526,17 +527,20 @@ def _render_inequality(coeffs: dict, var: str) -> str:
     return f"{lhs} >= 0"
 
 
-def diffineq_system(g: GaugeSpec, k: int, n: int, s: float = 0.0,
-                    z: float = 0.0) -> DiffIneqSystem:
+def diffineq_system(g: GaugeSpec, k: int, n: int, s: Optional[float] = None,
+                    z: Optional[float] = None) -> DiffIneqSystem:
     """Emit the ordinary-derivative form of the cone inequalities
     E^i f >= 0 for i in [k, n+1], plus the generating elements.
 
     Symbolic emission covers the exponential (constant coefficients), power
     (rational in x - a), and Stein-type gauge families; other gauges get a
-    numeric-only description.
+    numeric-only description.  The generators' anchors s and z default to
+    0, nudged inside the interval when 0 is not inside it.
     """
     if not 1 <= k <= n + 1:
         raise DomainError("need 1 <= k <= n+1")
+    s = _interior_point(g.interval, 0.0) if s is None else s
+    z = _interior_point(g.interval, 0.0) if z is None else z
     emitted = _symbolic_operators(g, n + 1)
     if emitted is None:
         return DiffIneqSystem(

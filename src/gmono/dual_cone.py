@@ -255,7 +255,7 @@ def check_dominance(
             add(_ordered_row("iii", f"t={t:.17g}", v1, v2, tol_eq),
                 lambda row: positive_part(t))
     except UndefinedMomentError:
-        return _inconclusive(k, s, z, t_grid, tol_eq)
+        return _inconclusive(s, z, t_grid, tol_eq)
 
     certification = "grid"
     if pure_atoms and isinstance(g, UnitGauge):
@@ -311,7 +311,7 @@ def _atom_pm(nu: MeasureRep, fam, t: float) -> float:
     return acc
 
 
-def _inconclusive(k, s, z, t_grid, tol_eq) -> DominanceReport:
+def _inconclusive(s, z, t_grid, tol_eq) -> DominanceReport:
     return DominanceReport(
         verdict=INCONCLUSIVE,
         cond_i=(),

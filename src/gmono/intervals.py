@@ -531,7 +531,8 @@ def transport_gauges(g: GaugeSpec, m: ScaleMap, n_entries: int = 16) -> TableGau
 
     wt_0 = w_0 o psi and wt_j = (w_j o psi) * psi' for j >= 1.  The result
     is a table gauge; analytic jets are composed whenever both the base
-    gauge and the map provide them.
+    gauge and the map provide them.  Entries read w_j leniently: values()
+    passes an underflow on as 0.0, as it does for w_j itself.
     """
     if m.codomain.a != g.interval.a or m.codomain.b != g.interval.b:
         raise DomainError(
@@ -543,8 +544,8 @@ def transport_gauges(g: GaugeSpec, m: ScaleMap, n_entries: int = 16) -> TableGau
 
     def make_value(j: int):
         if j == 0:
-            return lambda x: g.value(0, m.psi(x))
-        return lambda x: g.value(j, m.psi(x)) * m.psi_prime(x)
+            return lambda x: g.value_lenient(0, m.psi(x))
+        return lambda x: g.value_lenient(j, m.psi(x)) * m.psi_prime(x)
 
     def make_jet(j: int):
         def jf(x: float, L: int) -> Optional[Jet]:

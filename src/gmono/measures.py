@@ -187,12 +187,14 @@ class PoissonPart(_Component):
             )
 
     def _pmf_iter(self):
-        # Deterministic sweep to lam + 12 sqrt(lam) + 60, past which the
-        # neglected mass is below float resolution.
+        # Deterministic sweep over lam -/+ (12 sqrt(lam) + 60), outside which
+        # the neglected mass is below float resolution.  The first term is in
+        # float range where exp(-lam) underflows; kmin = 0 up to lam ~ 250.
         lam = self.lam
+        kmin = max(0, int(lam - 12.0 * math.sqrt(lam) - 60.0))
         kmax = int(lam + 12.0 * math.sqrt(lam) + 60.0)
-        p = math.exp(-lam)
-        for k in range(kmax + 1):
+        p = math.exp(kmin * math.log(lam) - lam - math.lgamma(kmin + 1))
+        for k in range(kmin, kmax + 1):
             yield k, p
             p *= lam / (k + 1)
 
@@ -553,56 +555,36 @@ def admissibility(nu: MeasureRep, cone) -> AdmissibilityReport:
     g, k, n = cone.gauges, cone.k, cone.n
     iv = g.interval
     s = _moment_basis_point(iv)
-    exceptional = (k == n + 1) and (k % 2 == 1) and not iv.left_closed
-
-    def finite_both_signs(i: int):
-        h = WPolyHandle(g, ("chain_t", s, 0, i))
-        try:
-            v = gmoment(nu, h)
-        except UndefinedMomentError:
-            return False, h
-        return math.isfinite(v), h
-
     if k <= n:
         case = "k<=n"
-        for i in range(k):
-            ok, h = finite_both_signs(i)
-            if not ok:
-                return AdmissibilityReport(
-                    False, case, witness=f"degree-{i} basis polynomial"
-                )
-        hk = WPolyHandle(g, ("chain_t", s, 0, k))
+    elif k % 2 == 1 and not iv.left_closed:  # k = n + 1
+        case = "exceptional"
+    else:
+        case = "even-k-or-a-in-I"
+
+    def moment(i: int) -> Optional[float]:
         try:
-            vk = gmoment(nu, hk)
+            return gmoment(nu, WPolyHandle(g, ("chain_t", s, 0, i)))
         except UndefinedMomentError:
-            vk = None
+            return None
+
+    for i in range(k):
+        v = moment(i)
+        if v is None or not math.isfinite(v):
+            return AdmissibilityReport(
+                False, case, witness=f"degree-{i} basis polynomial"
+            )
+    if case == "k<=n":
+        vk = moment(k)
         if vk is None or vk == -math.inf:
             return AdmissibilityReport(
                 False, case, witness=f"degree-{k} nonnegative-leading polynomial"
             )
         return AdmissibilityReport(True, case)
-
-    if not exceptional:
-        case = "even-k-or-a-in-I"
-        for i in range(k):
-            ok, h = finite_both_signs(i)
-            if not ok:
-                return AdmissibilityReport(
-                    False, case, witness=f"degree-{i} basis polynomial"
-                )
+    if case == "even-k-or-a-in-I":
         return AdmissibilityReport(True, case)
-
-    case = "exceptional"
-    for i in range(k):
-        ok, h = finite_both_signs(i)
-        if not ok:
-            return AdmissibilityReport(
-                False, case, witness=f"degree-{i} basis polynomial"
-            )
     # Support must avoid (a, a~) for some a~ in I (full-cone test class).
-    inf_support = _support_infimum(nu)
-    bounded_away = inf_support > iv.a
-    if not bounded_away:
+    if not _support_infimum(nu) > iv.a:
         return AdmissibilityReport(
             False,
             case,

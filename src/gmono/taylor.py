@@ -297,12 +297,11 @@ def convergence_profile(
     z: float,
     ys: Sequence[float],
     grid: Optional[Sequence[float]] = None,
-    tol: float = 1e-9,
 ):
     """Sup-gaps of f - g_y on each side of z for a descending list of y.
 
     Returns a list of rows (y, sup_gap_right, sup_gap_left); gaps should be
-    nonnegative (within -tol) and nonincreasing as y walks down toward a.
+    nonnegative (up to rounding) and nonincreasing as y walks down toward a.
     """
     ys = [float(v) for v in ys]
     if any(b >= a for a, b in zip(ys[:-1], ys[1:])):

@@ -24,8 +24,11 @@ per chain: exact term arithmetic when the start has a closed form, then a
 single-level antiderivative shortcut for table gauges that provide one,
 then the divergence probe for chains anchored at a, and otherwise the
 numeric chain integrator ``PanelChain`` (composite Clenshaw-Curtis panels
-summed outward from the anchor).  The numeric route is deliberately
-independent of the closed forms so the two can be cross-checked.
+summed outward from the anchor).  A chain anchored at a finite open a runs
+in u = log(x - a) under the paper's change of scale x = a + e^u, which
+sends a to u = -inf: one probe and one truncation rule serve both kinds
+of left endpoint.  The numeric route is deliberately independent of the
+closed forms so the two can be cross-checked.
 
 The closed forms live in one ring, sums of c * u^d * exp(r*u), with u = x
 for unit/exponential gauges and u = log(x - base) for power gauges: there
@@ -54,7 +57,9 @@ from .intervals import (
     GaugeSpec,
     Interval,
     PowerGauge,
+    ScaleMap,
     UnitGauge,
+    transport_gauges,
 )
 
 __all__ = [
@@ -351,7 +356,8 @@ class PanelChain:
             f"[{self.lo}, {self.hi}]"
         )
 
-    def eval(self, x: float) -> float:
+    def eval(self, x: float, final: Optional[float] = None) -> float:
+        """Value at x; ``final``, when given, is the deferred gauge factor."""
         if not self.lo <= x <= self.hi:
             raise DomainError("query outside working interval")
         if x == self.anchor and self.levels:
@@ -362,41 +368,53 @@ class PanelChain:
         u = 2.0 * (x - a) / (b - a) - 1.0
         v = float(np.polynomial.chebyshev.chebval(u, self._coeffs[p]))
         if self.final_gauge is not None:
-            v *= self.gauges.value(self.final_gauge, x)
+            v *= self.gauges.value(self.final_gauge, x) if final is None else final
         return v
 
 
-def _panel_breaks(lo: float, hi: float, finite_left: Optional[float]) -> np.ndarray:
-    """Panel edges on [lo, hi]; geometric refinement toward a finite
-    singular left base, uniform width-<=2 panels otherwise."""
-    if finite_left is not None and math.isfinite(finite_left):
-        # Geometric toward finite_left (which sits at or below lo).
-        d0 = lo - finite_left
-        edges = [lo]
-        d = d0
-        while finite_left + d < hi:
-            d *= 2.0
-            edges.append(min(finite_left + d, hi))
-        if edges[-1] < hi:
-            edges.append(hi)
-        return np.array(edges)
+def _panel_breaks(lo: float, hi: float) -> np.ndarray:
+    """Uniform panel edges on [lo, hi]: width at most 2, at least 4 panels."""
     n = max(4, int(math.ceil((hi - lo) / 2.0)))
     return np.linspace(lo, hi, n + 1)
+
+
+def _left_frame(g: GaugeSpec, m: int):
+    """The frame in which a is u = -inf: its gauges (levels 0..m), its probe
+    point and its floor, the lowest u at which a gauge may be evaluated.
+
+    For a = -inf that is g, in x.  A finite open a goes to u = -inf under
+    x = a + e^u, with transported gauges wt_0 = w_0(a + e^u) and
+    wt_j = w_j(a + e^u) e^u; p_{a;j,m}(x) is then pt_{-inf;j,m}(log(x - a)),
+    divided by x - a for j >= 1.  Below the floor, about log(4 ulp(a)),
+    a + e^u no longer resolves from a.
+    """
+    iv = g.interval
+    a = iv.a
+    lo = a if math.isfinite(a) else -1.0
+    hi = iv.b if math.isfinite(iv.b) else max(lo + 2.0, 1.0)
+    x0 = lo + 0.75 * (hi - lo)
+    if math.isinf(a):
+        return g, x0, -math.inf
+    psi = ScaleMap(
+        Interval(-math.inf, math.log(iv.b - a), right_closed=iv.right_closed),
+        iv,
+        psi=lambda u: a + math.exp(u),
+        psi_prime=math.exp,
+        psi_inverse=lambda x: math.log(x - a),
+        name="log",
+    )
+    floor = max(math.log(4.0 * math.ulp(a)), -700.0)
+    return transport_gauges(g, psi, n_entries=m + 1), math.log(x0 - a), floor
 
 
 def _left_chain(
     g: GaugeSpec, j: int, m: int, lo: float, hi: float, quad: QuadConfig
 ) -> PanelChain:
-    """p_{lo;j,m} on [lo, hi], a truncation of the left-anchored chain.
-
-    Panels refine geometrically toward a finite a, and the outermost gauge
-    factor is applied at query time.
-    """
-    a = g.interval.a
+    """p_{lo;j,m} on [lo, hi] in a left frame's gauges, last factor deferred."""
     return PanelChain(
         g,
         levels=range(m - 1, j - 1, -1),
-        breaks=_panel_breaks(lo, hi, a if math.isfinite(a) else None),
+        breaks=_panel_breaks(lo, hi),
         start_values=lambda xs: g.values(m, xs),
         quad=quad,
         defer_final=True,
@@ -417,6 +435,8 @@ class _Descent:
     ExpPoly form (the second chain takes its start's ring as it is), then
     the one-level antiderivative shortcut, then the left-endpoint probe,
     and otherwise a PanelChain built on first eval.
+    A chain anchored at a runs in ``_left_frame``, where a is u = -inf; the
+    second chain stays in x.
     """
 
     def __init__(self, g: GaugeSpec, start, levels: Sequence[int],
@@ -430,7 +450,7 @@ class _Descent:
         self._exact = None
         self._log_base = _log_base(g)
         self._panel: Optional[PanelChain] = None
-        self._left_depth: Optional[int] = None
+        self._left = None  # (gauges, probe point, floor, depth) of the frame
         self._prepare()
 
     def _prepare(self) -> None:
@@ -458,7 +478,7 @@ class _Descent:
             if not finite:
                 self.divergent = True
             else:
-                self._left_depth = depth
+                self._left = (*_left_frame(g, start), depth)
 
     def _start_values(self, xs: np.ndarray) -> np.ndarray:
         if isinstance(self.start, int):
@@ -466,28 +486,26 @@ class _Descent:
         return np.array([self.start.eval(float(u)) for u in xs])
 
     def _chain_for(self, x: float) -> PanelChain:
+        """The PanelChain covering x, a point of the left frame if anchored at a."""
         old = self._panel
         if old is not None and old.lo <= x <= old.hi:
             return old
-        g, t, iv = self.g, self.anchor, self.g.interval
-        left = self._left_depth is not None
+        left = self._left is not None
         if left:
-            # Left-anchored: truncate past the probe's last window, which
-            # ends at the probe point ref.
-            ref = _probe_point(iv)
-            if math.isfinite(iv.a):
-                lo = iv.a + (min(x, ref) - iv.a) / 2.0 ** (self._left_depth + 1)
-            else:
-                lo = min(
-                    ref - max(8.0, 2.0 * abs(ref)) * 2.0**self._left_depth,
-                    x - 8.0,
-                )
-            hi = min(max(x + 0.5, ref), iv.b)
+            # Truncate past the probe's last window, which ends at the probe
+            # point ref, and not below the floor.
+            g, ref, floor, depth = self._left
+            if x < floor:
+                raise InconclusiveError(f"x - a = e^{x} is too close to a to resolve")
+            lo = max(min(ref - max(8.0, 2.0 * abs(ref)) * 2.0**depth, x - 8.0), floor)
+            hi = min(max(x + 0.5, ref), g.interval.b)
         else:
             # Interior anchor: a working interval around the anchor and x.
-            ref, pad = t, 0.5 * (1.0 + abs(x - t))
-            lo = max(min(t, x) - pad, iv.a)
-            hi = min(max(t, x) + pad, iv.b)
+            g, ref = self.g, self.anchor
+            pad = 0.5 * (1.0 + abs(x - ref))
+            lo = max(min(ref, x) - pad, g.interval.a)
+            hi = min(max(ref, x) + pad, g.interval.b)
+        iv = g.interval
         if old is not None:
             # Grow the cover toward x, at least doubling its reach past
             # ref on that side, and keep the far side, so that queries on
@@ -504,10 +522,10 @@ class _Descent:
             self._panel = PanelChain(
                 g,
                 levels=self.levels,
-                breaks=_panel_breaks(lo, hi, None),
+                breaks=_panel_breaks(lo, hi),
                 start_values=self._start_values,
                 quad=self.quad,
-                anchor=t,
+                anchor=ref,
             )
         else:
             raise DomainError("cannot build working interval")
@@ -522,7 +540,12 @@ class _Descent:
         if self._exact is None:
             if not self.levels:
                 return self.g.value(self.start, x)
-            return self._chain_for(x).eval(x)
+            if self._left is None:
+                return self._chain_for(x).eval(x)
+            # For a finite a, x = a + e^u, and the deferred gauge is w_j at x
+            # itself: the frame's w_j(a + e^u) e^u^[j >= 1] over (x - a)^[j >= 1].
+            u = x if math.isinf(self.anchor) else math.log(x - self.anchor)
+            return self._chain_for(u).eval(u, self.g.value(self.levels[-1], x))
         if self._log_base is not None:
             x = _log_u(x, self._log_base)
         return self._exact.eval(x)
@@ -596,12 +619,6 @@ def _descend(ring: ExpPoly, g: GaugeSpec, levels: Sequence[int], anchor: float):
 # Divergence probe for a generic left-anchored chain
 # ---------------------------------------------------------------------------
 
-def _probe_point(iv: Interval) -> float:
-    lo = iv.a if math.isfinite(iv.a) else -1.0
-    hi = iv.b if math.isfinite(iv.b) else max(lo + 2.0, 1.0)
-    return lo + 0.75 * (hi - lo)
-
-
 def _strongly_decayed(incs, vals, quad: QuadConfig) -> bool:
     """Two-increment early acceptance: the latest window added next to
     nothing and shrank by 10x, so the remaining tail is negligible."""
@@ -615,27 +632,28 @@ def _strongly_decayed(incs, vals, quad: QuadConfig) -> bool:
 def _probe_left_chain(g: GaugeSpec, j: int, m: int, quad: QuadConfig):
     """Decide the left-endpoint dichotomy by truncated-anchor probing.
 
-    Truncations p_{L;j,m}(x0) increase as L marches toward a in doubling
-    windows.  Geometric decay of the increments over three consecutive
-    windows certifies a finite limit; non-decreasing increments certify
-    divergence; anything else raises InconclusiveError rather than
-    guessing.  Returns (finite, usable_anchor).
+    In ``_left_frame``, where a is u = -inf, truncations p_{L;j,m}(x0)
+    increase as L marches toward -inf: in doubling windows for a = -inf, in
+    steps of log 2 (halving x - a) down to the floor for a finite a.
+    Geometric decay of the increments over three consecutive windows
+    certifies a finite limit; non-decreasing increments certify divergence;
+    anything else raises InconclusiveError rather than guessing.  Returns
+    (finite, depth of the last window the chain's truncation relies on).
     """
-    iv = g.interval
-    a = iv.a
-    x0 = _probe_point(iv)
+    frame, x0, floor = _left_frame(g, m)
 
     def anchor_at(i: int) -> float:
-        if math.isinf(a):
+        if math.isinf(g.interval.a):
             return x0 - max(8.0, 2.0 * abs(x0)) * 2.0**i
-        return a + (x0 - a) / 2.0 ** (i + 1)
+        return max(x0 - (i + 1) * math.log(2.0), floor)
 
-    vals = []
-    incs = []
+    vals, incs = [], []
     decided_at = None
     for i in range(_PROBE_WINDOWS):
         try:
-            v = _left_chain(g, j, m, anchor_at(i), x0, quad).eval(x0)
+            if i and anchor_at(i - 1) == floor:  # the last window reached it
+                raise OverflowError(f"window {i} stays at the float floor")
+            v = _left_chain(frame, j, m, anchor_at(i), x0, quad).eval(x0)
         except (OverflowError, ZeroDivisionError, GaugeError) as exc:
             # Float range breakdown inside this window; decide from the
             # evidence gathered so far, never by fiat.
@@ -647,12 +665,12 @@ def _probe_left_chain(g: GaugeSpec, j: int, m: int, quad: QuadConfig):
                 return True, i - 1
             raise InconclusiveError(
                 f"divergence probe for p_(a;{j},{m}) hit float range limits "
-                f"at anchor {anchor_at(i)} before the dichotomy was settled"
+                f"in window {i} before the dichotomy was settled"
             ) from exc
         except QuadratureError as exc:
             raise InconclusiveError(
                 f"divergence probe for p_(a;{j},{m}) could not resolve the "
-                f"truncated chain at anchor {anchor_at(i)}: {exc}"
+                f"truncated chain in window {i}: {exc}"
             ) from exc
         if not math.isfinite(v):
             return False, None  # truncations are monotone: the limit is inf
@@ -676,11 +694,7 @@ def _probe_left_chain(g: GaugeSpec, j: int, m: int, quad: QuadConfig):
                     decided_at = i
                 q = max(d2 / d1, d3 / d2)
                 budget = (x0 - anchor_at(i + 1)) / 2.0 > 900.0
-                if (
-                    d3 * q / (1.0 - q) <= 10.0 * tol
-                    or i - decided_at >= 4
-                    or budget
-                ):
+                if d3 * q / (1.0 - q) <= 10.0 * tol or i - decided_at >= 4 or budget:
                     return True, i
             elif decided_at is None and d1 > 0 and d2 > 0:
                 # Over doubling windows, divergence shows as increment

@@ -272,6 +272,35 @@ class TestSubcommands:
         assert code == 0
         assert "f^(6) - 2*f^(5) - f^(4) + 2*f^(3) >= 0" in out
 
+    def test_diffineq_interval_without_zero_inside(self, tmp_path, capsys):
+        # The generators' anchors default to a point inside (0, inf).
+        gauges = tmp_path / "power.json"
+        gauges.write_text(json.dumps({
+            "interval": {"a": 0, "b": "inf"}, "kind": "power",
+            "params": [0, 1, 0, 1],
+        }))
+        code = main(["diffineq", "--gauges", str(gauges), "--k", "1", "--n", "2"])
+        assert code == 0
+        assert "f^(2) + (x^-1)*f^(1) >= 0" in capsys.readouterr().out
+
+    def test_finiteness_probe_on_finite_left_endpoint(self, tmp_path, capsys):
+        gauges = tmp_path / "power.json"
+        gauges.write_text(json.dumps({
+            "interval": {"a": 1, "b": 3}, "kind": "power",
+            "params": [1, 1.5, 2, -0.5, 1],
+        }))
+        tables = []
+        for probe in ([], ["--probe"]):
+            code = main(["--format", "json", "finiteness", "--gauges", str(gauges),
+                         "--n", "3"] + probe)
+            assert code == 0
+            tables.append(json.loads(capsys.readouterr().out))
+        assert [t["method"] for t in tables] == ["analytic", "probe"]
+        assert tables[1]["rows"] == tables[0]["rows"]
+        finite = {(j, m) for j, m, fin in tables[0]["rows"] if fin}
+        assert [j for j in range(3) if (j, 2) in finite] == [2]
+        assert [j for j in range(4) if (j, 3) in finite] == [0, 1, 2, 3]
+
     def test_finiteness(self, files, capsys):
         code = main([
             "--format", "json", "finiteness", "--gauges", files["g61"],

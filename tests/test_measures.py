@@ -139,6 +139,25 @@ class TestPartialMoments:
             b = pp.pm_closed_form(float(t), 3)
             assert a == pytest.approx(b, rel=1e-10, abs=1e-12)
 
+    def test_poisson_large_lam(self):
+        # exp(-lam) is subnormal at 745 and 0.0 at 800: the pmf sweep starts
+        # near the mass, not at k = 0.
+        for lam in (745.0, 800.0):
+            assert PoissonPart(lam).pm_by_summation(0.0, 0) == pytest.approx(
+                1.0, rel=0.0, abs=1e-12)
+        pp = PoissonPart(800.0)
+        a, b = pp.pm_by_summation(800.0, 1), pp.pm_closed_form(800.0, 1)
+        assert a == pytest.approx(b, rel=1e-10)
+        assert a == pytest.approx(11.2826, rel=1e-5)
+
+    @pytest.mark.parametrize("lam", [0.5, 6.0, 100.0])
+    def test_poisson_pmf_sweep_is_the_plain_recurrence(self, lam):
+        p, want = math.exp(-lam), []
+        for k in range(int(lam + 12.0 * math.sqrt(lam) + 60.0) + 1):
+            want.append((k, p))
+            p *= lam / (k + 1)
+        assert list(PoissonPart(lam)._pmf_iter()) == want
+
     def test_survival_convention_n0(self):
         nu = MeasureRep(R, atoms=[(0.0, 0.25)], continuous=NormalPart(0.0, 1.0))
         assert partial_moment(nu, 0.0, 0) == pytest.approx(0.25 + 0.5)

@@ -14,6 +14,7 @@ from scipy.integrate import quad as squad
 from gmono import (
     DomainError,
     ExponentialGauge,
+    InconclusiveError,
     Interval,
     PowerGauge,
     PreconditionError,
@@ -51,6 +52,16 @@ def quad_chain(g, t, j, m, x, w=None):
     inner = lambda u: quad_chain(g, t, j + 1, m, u, w)
     val, _ = squad(inner, t, x, epsabs=1e-12, epsrel=1e-12, limit=200)
     return w(j, x) * val
+
+
+def quad_chain_rel(g, t, j, m, x):
+    """The nested quadrature to a relative tolerance only, for chain values
+    far below 1 (near a finite left endpoint they reach 1e-19)."""
+    if j == m:
+        return g.value(m, x)
+    inner = lambda u: quad_chain_rel(g, t, j + 1, m, u)
+    val, _ = squad(inner, t, x, epsabs=0.0, epsrel=1e-13, limit=200)
+    return g.value(j, x) * val
 
 
 def quad_chain_az(g, z, i, k, j, x, w=None):
@@ -273,6 +284,54 @@ class TestPowerGaugeClosedForm:
         assert chain_t_handle(g, 1.0, 0, 1).pretty() == "<chain_t(1.0, 0, 1):full>"
 
 
+class TestFiniteOpenLeftEndpoint:
+    """A chain anchored at a finite open a runs as the chain anchored at
+    u = -inf under x = a + e^u, on a table clone with no closed form."""
+
+    LAMS = [0.5, -1.0, 1.0, 0.3]
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, -2.0])
+    def test_left_chain_matches_nested_quadrature(self, a):
+        iv = Interval(a, math.inf)
+        g, tg = ExponentialGauge(iv, self.LAMS), table_clone(self.LAMS, iv)
+        steps = [(1e-3, 1e-9), (0.5, 1e-9), (2.0, 1e-9)]
+        if a == 0.0:
+            steps.append((1e-6, 1e-12))
+        for j, m in [(1, 2), (0, 2), (1, 3), (0, 3), (2, 3)]:
+            h = chain_t_handle(tg, a, j, m)
+            for d, rel in steps:
+                want = quad_chain_rel(g, a, j, m, a + d)
+                assert h.eval(a + d) == pytest.approx(want, rel=rel), (j, m, d)
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, -2.0])
+    def test_second_chain_matches_closed_form(self, a):
+        iv = Interval(a, math.inf)
+        g, tg = ExponentialGauge(iv, self.LAMS), table_clone(self.LAMS, iv)
+        xs = [a + d for d in (1e-6, 1e-3, 0.6, 2.0)]
+        for i, k, j in [(0, 1, 2), (0, 1, 3), (1, 2, 3), (0, 2, 3)]:
+            for order in (xs, xs[::-1]):
+                he = chain_az_handle(g, a + 1.2, i, k, j)
+                ht = chain_az_handle(tg, a + 1.2, i, k, j)
+                for x in order:
+                    want = he.eval(x)
+                    assert abs(ht.eval(x) - want) <= 1e-9 * (1.0 + abs(want)), (
+                        i, k, j, x)
+
+    def test_underflowing_gauge_and_the_float_floor(self):
+        # w_1 = exp(-1/x) underflows to 0.0 near a = 0; the transported
+        # gauge passes that on to the integrator as w_1 itself does.
+        g = TableGauge(Interval(0.0, math.inf), [
+            lambda x: 1.0, lambda x: math.exp(-1.0 / x), lambda x: 1.0])
+        assert chain_t_handle(g, 0.0, 1, 2).eval(1.0) == pytest.approx(
+            math.exp(-1.0), rel=1e-12)
+        want, _ = squad(lambda y: math.exp(-1.0 / y), 0.0, 1.0, epsrel=1e-13)
+        assert chain_t_handle(g, 0.0, 0, 1).eval(1.0) == pytest.approx(want, rel=1e-10)
+        # Within 4 ulp(a) of a = 1, a + e^u no longer resolves from a.
+        h = chain_t_handle(table_clone(self.LAMS, Interval(1.0, math.inf)), 1.0, 1, 2)
+        with pytest.raises(InconclusiveError):
+            h.eval(1.0 + 2.0 * math.ulp(1.0))
+
+
 class TestPanelChain:
     @pytest.mark.parametrize("order", [32, 48])
     def test_cumulative_matrix_matches_chebint(self, order):
@@ -292,7 +351,7 @@ class TestPanelChain:
         g = arctan_cheb_gauges()
         for t in (0.3, -0.7, 1.234567):
             pc = wpoly.PanelChain(
-                g, [0], wpoly._panel_breaks(t - 3.0, t + 2.0, None),
+                g, [0], wpoly._panel_breaks(t - 3.0, t + 2.0),
                 lambda xs: g.values(1, xs), anchor=t,
             )
             assert pc.eval(t) == 0.0
@@ -515,6 +574,18 @@ class TestFinitenessSet:
         for j in range(3):
             for m in range(j, 3):
                 assert fsp.contains(j, m) == fs.contains(j, m)
+        # The probe against the analytic tables on finite open left
+        # endpoints: base = a on four intervals, and a base below a.
+        rng = np.random.default_rng(9)
+        for (a, b), base in [((1.0, 3.0), 1.0), ((1.0, math.inf), 1.0),
+                             ((-2.0, 5.0), -2.0), ((100.0, math.inf), 100.0),
+                             ((0.0, math.inf), -0.5)]:
+            for _ in range(8):
+                lams = [float(v) for v in rng.choice(
+                    [-1.0, -0.5, 0.5, 1.0, 1.5, 2.0], size=4)]
+                g = PowerGauge(Interval(a, b), base, lams)
+                fsp = finiteness_set(g, 3, force_probe=True)
+                assert fsp.table == finiteness_set(g, 3).table, (a, b, lams)
 
 
 class TestInterpolate:
