@@ -26,9 +26,10 @@ then the divergence probe for chains anchored at a, and otherwise the
 numeric chain integrator ``PanelChain`` (composite Clenshaw-Curtis panels
 summed outward from the anchor).  A chain anchored at a finite open a runs
 in u = log(x - a) under the paper's change of scale x = a + e^u, which
-sends a to u = -inf: one probe and one truncation rule serve both kinds
-of left endpoint.  The numeric route is deliberately independent of the
-closed forms so the two can be cross-checked.
+sends a to u = -inf: one probe serves both kinds of left endpoint, and
+the chain is cut in that probe's windows.  The numeric route is
+deliberately independent of the closed forms so the two can be
+cross-checked.
 
 The closed forms live in one ring, sums of c * u^d * exp(r*u), with u = x
 for unit/exponential gauges and u = log(x - base) for power gauges: there
@@ -83,7 +84,12 @@ POSITIVE = "positive"
 NEGATIVE = "negative"
 
 _TINY_RATE = 1e-12
-_PROBE_WINDOWS = 24  # doubling windows of the left-endpoint divergence probe
+_PROBE_WINDOWS = 24  # windows of the left-endpoint divergence probe
+# Windows by which a finite a's cut reaches past the probe's last certified
+# one, deepest first: the slowest geometric decay the probe accepts (0.75
+# per window) shrinks a tail by 2^-53 over 128 of them and by 1e-10 over 80.
+_TAIL_WINDOWS = (128, 104, 80)
+_FLOAT_RANGE = (OverflowError, ZeroDivisionError, GaugeError)  # range breakdown
 
 
 @dataclass(frozen=True)
@@ -378,23 +384,50 @@ def _panel_breaks(lo: float, hi: float) -> np.ndarray:
     return np.linspace(lo, hi, n + 1)
 
 
-def _left_frame(g: GaugeSpec, m: int):
-    """The frame in which a is u = -inf: its gauges (levels 0..m), its probe
-    point and its floor, the lowest u at which a gauge may be evaluated.
+@dataclass(frozen=True)
+class _LeftFrame:
+    """The frame in which a is u = -inf: its gauges, its probe point x0 and
+    its floor, the lowest u at which a gauge may be evaluated.
 
-    For a = -inf that is g, in x.  A finite open a goes to u = -inf under
-    x = a + e^u, with transported gauges wt_0 = w_0(a + e^u) and
-    wt_j = w_j(a + e^u) e^u; p_{a;j,m}(x) is then pt_{-inf;j,m}(log(x - a)),
+    For a = -inf that is the gauge itself, in x.  A finite open a goes to
+    u = -inf under x = a + e^u, with transported gauges wt_0 = w_0(a + e^u)
+    and wt_j = w_j(a + e^u) e^u; p_{a;j,m}(x) is then pt_{-inf;j,m}(log(x - a)),
     divided by x - a for j >= 1.  Below the floor, about log(4 ulp(a)),
     a + e^u no longer resolves from a.
     """
+
+    gauges: GaugeSpec
+    x0: float
+    floor: float = -math.inf
+
+    def anchor_at(self, i: int) -> float:
+        """Where the probe's window i starts: doubling windows at a = -inf,
+        steps of log 2 (halving x - a) down to the floor at a finite a."""
+        if math.isinf(self.floor):
+            return self.x0 - max(8.0, 2.0 * abs(self.x0)) * 2.0**i
+        return max(self.x0 - (i + 1) * math.log(2.0), self.floor)
+
+    def cuts(self, depth: int, x: float) -> list:
+        """Where a chain queried at x may be cut, deepest first, given the
+        probe's last certified window: at a = -inf that window, at least 8
+        below x; at a finite a, _TAIL_WINDOWS windows past it, moved down
+        with x below x0, and not below the floor."""
+        if math.isinf(self.floor):
+            return [min(self.anchor_at(depth), x - 8.0)]
+        shift = min(x - self.x0, 0.0)
+        return [max(self.anchor_at(depth + k) + shift, self.floor)
+                for k in _TAIL_WINDOWS]
+
+
+def _left_frame(g: GaugeSpec, n: int) -> _LeftFrame:
+    """The left frame of g's levels 0..n."""
     iv = g.interval
     a = iv.a
     lo = a if math.isfinite(a) else -1.0
     hi = iv.b if math.isfinite(iv.b) else max(lo + 2.0, 1.0)
     x0 = lo + 0.75 * (hi - lo)
     if math.isinf(a):
-        return g, x0, -math.inf
+        return _LeftFrame(g, x0)
     psi = ScaleMap(
         Interval(-math.inf, math.log(iv.b - a), right_closed=iv.right_closed),
         iv,
@@ -404,7 +437,8 @@ def _left_frame(g: GaugeSpec, m: int):
         name="log",
     )
     floor = max(math.log(4.0 * math.ulp(a)), -700.0)
-    return transport_gauges(g, psi, n_entries=m + 1), math.log(x0 - a), floor
+    return _LeftFrame(
+        transport_gauges(g, psi, n_entries=n + 1), math.log(x0 - a), floor)
 
 
 def _left_chain(
@@ -435,8 +469,8 @@ class _Descent:
     ExpPoly form (the second chain takes its start's ring as it is), then
     the one-level antiderivative shortcut, then the left-endpoint probe,
     and otherwise a PanelChain built on first eval.
-    A chain anchored at a runs in ``_left_frame``, where a is u = -inf; the
-    second chain stays in x.
+    A chain anchored at a runs in its ``_LeftFrame``, where a is u = -inf;
+    the second chain stays in x.
     """
 
     def __init__(self, g: GaugeSpec, start, levels: Sequence[int],
@@ -450,7 +484,7 @@ class _Descent:
         self._exact = None
         self._log_base = _log_base(g)
         self._panel: Optional[PanelChain] = None
-        self._left = None  # (gauges, probe point, floor, depth) of the frame
+        self._left = None  # (_LeftFrame, the probe's certified depth)
         self._prepare()
 
     def _prepare(self) -> None:
@@ -474,11 +508,12 @@ class _Descent:
         iv = g.interval
         if math.isinf(t) or (t == iv.a and not iv.left_closed):
             # Anchored at a, so this is the first chain: start is a level.
-            finite, depth = _probe_left_chain(g, levels[-1], start, self.quad)
+            frame = _left_frame(g, start)
+            finite, depth = _probe_left_chain(frame, levels[-1], start, self.quad)
             if not finite:
                 self.divergent = True
             else:
-                self._left = (*_left_frame(g, start), depth)
+                self._left = (frame, depth)
 
     def _start_values(self, xs: np.ndarray) -> np.ndarray:
         if isinstance(self.start, int):
@@ -492,13 +527,13 @@ class _Descent:
             return old
         left = self._left is not None
         if left:
-            # Truncate past the probe's last window, which ends at the probe
-            # point ref, and not below the floor.
-            g, ref, floor, depth = self._left
-            if x < floor:
+            # Cut in the probe's windows, which end at the probe point ref.
+            frame, depth = self._left
+            g, ref = frame.gauges, frame.x0
+            if x < frame.floor:
                 raise InconclusiveError(f"x - a = e^{x} is too close to a to resolve")
-            lo = max(min(ref - max(8.0, 2.0 * abs(ref)) * 2.0**depth, x - 8.0), floor)
-            hi = min(max(x + 0.5, ref), g.interval.b)
+            cuts = frame.cuts(depth, x)
+            lo, hi = cuts[0], min(max(x + 0.5, ref), g.interval.b)
         else:
             # Interior anchor: a working interval around the anchor and x.
             g, ref = self.g, self.anchor
@@ -516,8 +551,18 @@ class _Descent:
             elif not left:  # a left truncation already deepens with x
                 lo = max(min(lo, 2.0 * old.lo - ref), iv.a)
         if left:
-            self._panel = _left_chain(g, self.levels[-1], self.start, lo, hi,
-                                      self.quad)
+            # The deepest cut at which every gauge stays in float range (one
+            # may overflow near a) and that still leaves a negligible tail.
+            for cut in [lo] + [c for c in cuts[1:] if c > lo]:
+                try:
+                    self._panel = _left_chain(g, self.levels[-1], self.start,
+                                              cut, hi, self.quad)
+                    return self._panel
+                except _FLOAT_RANGE as exc:
+                    err = exc
+            raise InconclusiveError(
+                f"no cut from {lo} to {cut} keeps the gauges in float range"
+            ) from err
         elif lo < hi:
             self._panel = PanelChain(
                 g,
@@ -629,32 +674,27 @@ def _strongly_decayed(incs, vals, quad: QuadConfig) -> bool:
     return 0.0 <= incs[-1] <= tol and incs[-1] <= 0.1 * incs[-2]
 
 
-def _probe_left_chain(g: GaugeSpec, j: int, m: int, quad: QuadConfig):
+def _probe_left_chain(frame: _LeftFrame, j: int, m: int, quad: QuadConfig):
     """Decide the left-endpoint dichotomy by truncated-anchor probing.
 
-    In ``_left_frame``, where a is u = -inf, truncations p_{L;j,m}(x0)
-    increase as L marches toward -inf: in doubling windows for a = -inf, in
-    steps of log 2 (halving x - a) down to the floor for a finite a.
-    Geometric decay of the increments over three consecutive windows
-    certifies a finite limit; non-decreasing increments certify divergence;
-    anything else raises InconclusiveError rather than guessing.  Returns
-    (finite, depth of the last window the chain's truncation relies on).
+    In the ``_LeftFrame``, where a is u = -inf, truncations p_{L;j,m}(x0)
+    increase as L marches toward -inf through the windows of
+    ``frame.anchor_at``: doubling windows for a = -inf, steps of log 2
+    (halving x - a) down to the floor for a finite a.  Geometric decay of
+    the increments over three consecutive windows certifies a finite limit;
+    non-decreasing increments certify divergence; anything else raises
+    InconclusiveError rather than guessing.  Returns (finite, depth of the
+    last certified window), from which ``frame.cuts`` cuts the chain.
     """
-    frame, x0, floor = _left_frame(g, m)
-
-    def anchor_at(i: int) -> float:
-        if math.isinf(g.interval.a):
-            return x0 - max(8.0, 2.0 * abs(x0)) * 2.0**i
-        return max(x0 - (i + 1) * math.log(2.0), floor)
-
+    x0, floor, anchor_at = frame.x0, frame.floor, frame.anchor_at
     vals, incs = [], []
     decided_at = None
     for i in range(_PROBE_WINDOWS):
         try:
             if i and anchor_at(i - 1) == floor:  # the last window reached it
                 raise OverflowError(f"window {i} stays at the float floor")
-            v = _left_chain(frame, j, m, anchor_at(i), x0, quad).eval(x0)
-        except (OverflowError, ZeroDivisionError, GaugeError) as exc:
+            v = _left_chain(frame.gauges, j, m, anchor_at(i), x0, quad).eval(x0)
+        except _FLOAT_RANGE as exc:
             # Float range breakdown inside this window; decide from the
             # evidence gathered so far, never by fiat.
             if decided_at is not None:
@@ -805,13 +845,14 @@ def finiteness_set(
     # Levels 0..n must exist (a short TableGauge raises GaugeError here), so
     # that the probe's GaugeError can only mean a range breakdown.
     g.shifted(n)
+    frame = _left_frame(g, n)
     for m in range(n + 1):
         put(m, m, True)
         for j in range(m - 1, -1, -1):
             if table[j + 1][m - j - 1] is False:
                 put(j, m, False)  # dichotomy propagates downward
                 continue
-            finite, _ = _probe_left_chain(g, j, m, quad)
+            finite, _ = _probe_left_chain(frame, j, m, quad)
             put(j, m, finite)
     return FinitenessSet(g, n, _freeze(table), "probe")
 

@@ -331,6 +331,30 @@ class TestFiniteOpenLeftEndpoint:
         with pytest.raises(InconclusiveError):
             h.eval(1.0 + 2.0 * math.ulp(1.0))
 
+    def test_gauge_singular_at_a(self):
+        # w_1 = x^-1.5 overflows near a = 0, where the integrand w_1(x) * x
+        # it feeds stays small: the cut stays where w_1 is in float range.
+        iv = Interval(0.0, math.inf)
+        g = TableGauge(iv, [lambda x: 1.0, lambda x: x**-1.5, lambda x: 1.0])
+        h = chain_t_handle(g, 0.0, 0, 2)
+        for x in (1e-6, 1e-3, 0.5, 2.0):
+            assert h.eval(x) == pytest.approx(quad_chain_rel(g, 0.0, 0, 2, x), rel=1e-12)
+        # w_1 = x^-8 overflows at the deepest cut; the next one is used.
+        # p_{0;0,2}(x) = x/8.
+        g = TableGauge(iv, [lambda x: 1.0, lambda x: x**-8, lambda x: x**7])
+        h = chain_t_handle(g, 0.0, 0, 2)
+        for x in (1e-6, 1e-3, 0.5, 2.0):
+            assert h.eval(x) == pytest.approx(quad_chain_rel(g, 0.0, 0, 2, x), rel=1e-10)
+
+    def test_float_range_breakdown_is_inconclusive(self):
+        # w_1 = x^-40 overflows below x = e^-17.7, short of every cut that
+        # would leave a tail below the tolerance: no value is guessed.
+        g = TableGauge(Interval(0.0, math.inf), [
+            lambda x: 1.0, lambda x: x**-40, lambda x: x**39])
+        h = chain_t_handle(g, 0.0, 0, 2)
+        with pytest.raises(InconclusiveError, match="float range"):
+            h.eval(0.5)
+
 
 class TestPanelChain:
     @pytest.mark.parametrize("order", [32, 48])
