@@ -18,6 +18,7 @@ import os
 import sys
 import traceback
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -78,8 +79,13 @@ def _num(v: float, fmt: str) -> object:
 
 
 def _emit(payload: dict, cfg: RunConfig) -> None:
+    _print_guarded(lambda: _write(payload, cfg))
+
+
+def _print_guarded(write: Callable[[], None]) -> None:
+    """Run write() and flush stdout, surviving a closed stdout."""
     try:
-        _write(payload, cfg)
+        write()
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout early (``gmono ... | head``).  Drop the
@@ -360,7 +366,7 @@ def _cmd_diffineq(args, cfg: RunConfig) -> int:
 
 
 def _cmd_selftest(args, cfg: RunConfig) -> int:
-    ok = acceptance.run_all()
+    ok = acceptance.run_all(lambda line: _print_guarded(lambda: print(line)))
     return EXIT_OK if ok else EXIT_FAILS
 
 

@@ -21,6 +21,7 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
+import numpy as np
 from scipy import integrate as _si
 
 from .errors import (
@@ -30,7 +31,7 @@ from .errors import (
     malformed_input_as,
 )
 from .intervals import Interval, interval_from_dict, interval_to_dict
-from .wpoly import WPolyHandle
+from .wpoly import WPolyHandle, XRing
 
 __all__ = [
     "MeasureRep",
@@ -58,6 +59,68 @@ def _finite(*vals: float) -> bool:
 
 def _phi(z: float) -> float:
     return math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
+
+
+def _upper_z_moments(c: float, n: int) -> list:
+    """M_i = E[Z^i 1{Z > c}] for i <= n, Z standard normal.
+
+    M_0 = 1 - Phi(c), M_1 = phi(c), M_i = c^(i-1) phi(c) + (i-1) M_(i-2).
+    M_0 as erfc keeps the upper tail relatively accurate where 1 - Phi(c)
+    would cancel to 0.
+    """
+    M = [0.5 * math.erfc(c / math.sqrt(2.0)), _phi(c)]
+    for i in range(2, n + 1):
+        M.append(c ** (i - 1) * _phi(c) + (i - 1) * M[i - 2])
+    return M[:n + 1]
+
+
+def _normal_raw_moments(mean: float, sd: float, r: int) -> list:
+    # m_r = mean*m_(r-1) + (r-1)*sd^2*m_(r-2)
+    m = [1.0, mean]
+    for k in range(2, r + 1):
+        m.append(mean * m[k - 1] + (k - 1) * sd**2 * m[k - 2])
+    return m
+
+
+def _normal_region_moment(mean: float, sd: float, d: int, lo: float,
+                          hi: float) -> float:
+    """E[Y^d 1{lo <= Y < hi}] for Y ~ N(mean, sd^2), with lo = -inf or
+    hi = inf: the upper region expands Y = mean + sd Z over the truncated
+    moments of Z, and the lower one is the upper region of -Y."""
+    if lo == -math.inf and hi == math.inf:
+        return _normal_raw_moments(mean, sd, d)[d]
+    if hi == math.inf:
+        M = _upper_z_moments((lo - mean) / sd, d)
+        return math.fsum(math.comb(d, i) * mean ** (d - i) * sd**i * M[i]
+                         for i in range(d + 1))
+    return (-1) ** d * _normal_region_moment(-mean, sd, d, -hi, math.inf)
+
+
+def _normal_tail_moment(c: float, n: int) -> float:
+    """J_n(c) = E (Z - c)_+^n for Z standard normal and n >= 1.
+
+    J_0 = 1 - Phi(c), J_1 = phi(c) - c J_0 and J_n = (n-1) J_(n-2) - c J_(n-1).
+    For c < 1 the recurrence runs forward; for c <= 0 no term cancels.  For
+    c >= 1 it cancels forward, so it runs backward, as the continued
+    fraction r_(k-1) = 1 / (c + k r_k) for the ratios r_k = h_k / h_(k-1) of
+    the Hermite probability integrals h_k = J_k / k!, which satisfy
+    k h_k = h_(k-2) - c h_(k-1) with h_(-1) = phi(c).  Started at r = 0 from
+    level N, its error shrinks like exp(-2c sqrt(N)); N = n + 16 + 484/c^2
+    puts it below rounding.
+    """
+    if c < 1.0:
+        q = 0.5 * math.erfc(c / math.sqrt(2.0))
+        prev, cur = q, _phi(c) - c * q
+        for k in range(2, n + 1):
+            prev, cur = cur, (k - 1) * prev - c * cur
+        return cur
+    r = 0.0
+    ratios = []
+    for k in range(n + 16 + math.ceil(484.0 / (c * c)), 0, -1):
+        r = 1.0 / (c + k * r)  # r_(k-1)
+        if k <= n + 1:
+            ratios.append(r)
+    return math.factorial(n) * math.prod(ratios) * _phi(c)
 
 
 def _quad(f, a, b, limit=200) -> float:
@@ -116,6 +179,12 @@ class _Component:
         """integral f dmu over the component (sign-carrying f allowed)."""
         raise NotImplementedError
 
+    def integrate_ring(self, ring: XRing, iv: Interval) -> Optional[float]:
+        """The integral of a handle's ring in x (gauge interval iv) in
+        closed form, or None where the component has none for it; gmoment
+        then integrates the handle's values."""
+        return None
+
     def reflected(self) -> "_Component":
         raise NotImplementedError
 
@@ -134,25 +203,12 @@ class NormalPart(_Component):
 
     def pm(self, t: float, n: int) -> float:
         c = (t - self.mean) / self.sd
-        # M_i = E[Z^i 1{Z > c}]: M_0 = 1-Phi(c), M_1 = phi(c),
-        # M_i = c^(i-1) phi(c) + (i-1) M_(i-2).  M_0 as erfc keeps the
-        # upper tail relatively accurate where 1 - Phi(c) would cancel to 0.
-        M = [0.5 * math.erfc(c / math.sqrt(2.0)), _phi(c)]
-        for i in range(2, n + 1):
-            M.append(c ** (i - 1) * _phi(c) + (i - 1) * M[i - 2])
         if n == 0:
-            return self.weight * M[0]
-        acc = 0.0
-        for i in range(n + 1):
-            acc += math.comb(n, i) * (-c) ** (n - i) * M[i]
-        return self.weight * self.sd**n * acc
+            return self.weight * (0.5 * math.erfc(c / math.sqrt(2.0)))
+        return self.weight * self.sd**n * _normal_tail_moment(c, n)
 
     def raw_moment(self, r: int) -> float:
-        # m_r = mean*m_(r-1) + (r-1)*sd^2*m_(r-2)
-        m = [1.0, self.mean]
-        for k in range(2, r + 1):
-            m.append(self.mean * m[k - 1] + (k - 1) * self.sd**2 * m[k - 2])
-        return self.weight * m[r]
+        return self.weight * _normal_raw_moments(self.mean, self.sd, r)[r]
 
     def integrate(self, f, breakpoints=()) -> float:
         return _quad_pieces(
@@ -160,6 +216,24 @@ class NormalPart(_Component):
             self.mean - 12 * self.sd, self.mean + 12 * self.sd,
             breakpoints, self.weight,
         )
+
+    def integrate_ring(self, ring: XRing, iv: Interval) -> Optional[float]:
+        """Exponential tilting: c x^d e^(rx) against N(mean, sd^2) is
+        c e^(r mean + (r sd)^2/2) x^d against N(mean + r sd^2, sd^2), whose
+        moment over the ring's region is closed-form.  None off the whole
+        line or where a tilt factor leaves float range."""
+        if not (iv.a == -math.inf and iv.b == math.inf):
+            return None
+        lo, hi = ring.region
+        terms = []
+        for (d, r), c in ring.poly.terms.items():
+            tilt = r * self.mean + 0.5 * (r * self.sd) ** 2
+            if tilt > 700.0:
+                return None
+            terms.append(c * math.exp(tilt) * _normal_region_moment(
+                self.mean + r * self.sd**2, self.sd, d, lo, hi))
+        v = self.weight * math.fsum(terms)
+        return v if math.isfinite(v) else None
 
     def reflected(self) -> "NormalPart":
         return NormalPart(-self.mean, self.sd, self.weight)
@@ -252,6 +326,25 @@ class PoissonPart(_Component):
         for k, p in self._pmf_iter():
             acc += p * f(self.support_point(k))
         return self.weight * acc
+
+    def integrate_ring(self, ring: XRing, iv: Interval) -> Optional[float]:
+        """The sweep of integrate over the same support and pmf, with the
+        ring evaluated at every support point at once.  None where the
+        support leaves iv or the ring is not finite on it (a term past
+        e^700), so that integrate raises or signs the divergence."""
+        ks, ps = zip(*self._pmf_iter())
+        xs = self.shift + self.scale * np.array(ks, dtype=float)
+        if not (iv.contains(float(xs[0])) and iv.contains(float(xs[-1]))):
+            return None
+        lo, hi = ring.region
+        inside = (xs >= lo) & (xs < hi)
+        vals = np.zeros(len(xs))
+        vals[inside] = ring.poly.eval_many(xs[inside])
+        if ring.anchor is not None:
+            vals[xs == ring.anchor] = 0.0
+        if not np.all(np.isfinite(vals)):
+            return None
+        return self.weight * math.fsum((np.array(ps) * vals).tolist())
 
     def reflected(self) -> "PoissonPart":
         return PoissonPart(self.lam, -self.scale, -self.shift, self.weight)
@@ -437,6 +530,12 @@ def gmoment(nu: MeasureRep, p, breakpoints: Sequence[float] = ()) -> float:
 
     Positive and negative parts are integrated separately; the value may be
     +inf or -inf, and UndefinedMomentError signals that both parts diverge.
+    Atoms are point evaluations.  A normal or Poisson part integrates a
+    handle whose chain is a ring in x (``WPolyHandle.x_ring``: unit and
+    exponential gauges) exactly, through the part's ``integrate_ring``.
+    Every other pair (Cauchy and density parts; table and power gauges;
+    interp handles and plain callables) goes through the part's
+    ``integrate``, once per sign, with one value of p per node.
     """
     f = p.eval if isinstance(p, WPolyHandle) else p
     if isinstance(p, WPolyHandle) and p.tag == "chain_t":
@@ -451,10 +550,24 @@ def gmoment(nu: MeasureRep, p, breakpoints: Sequence[float] = ()) -> float:
             pos += mass * v if math.isfinite(v) else math.inf
         elif v < 0:
             neg += mass * (-v) if math.isfinite(v) else math.inf
-    if nu.continuous is not None:
-        bps = [b for b in breakpoints if math.isfinite(b)]
-        vpos = nu.continuous.integrate(lambda x: max(f(x), 0.0), bps)
-        vneg = nu.continuous.integrate(lambda x: max(-f(x), 0.0), bps)
+    part = nu.continuous
+    if part is not None:
+        ring = p.x_ring() if isinstance(p, WPolyHandle) else None
+        v = None if ring is None else part.integrate_ring(ring, p.gauges.interval)
+        if v is not None:
+            vpos, vneg = max(v, 0.0), max(-v, 0.0)
+        else:
+            bps = [b for b in breakpoints if math.isfinite(b)]
+            memo = {}  # both passes start on the same quadrature nodes
+
+            def value(x: float) -> float:
+                y = memo.get(x)
+                if y is None:
+                    y = memo[x] = f(x)
+                return y
+
+            vpos = part.integrate(lambda x: max(value(x), 0.0), bps)
+            vneg = part.integrate(lambda x: max(-value(x), 0.0), bps)
         if not math.isfinite(vpos):
             pos = math.inf
         else:

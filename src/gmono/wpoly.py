@@ -42,7 +42,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -70,6 +70,7 @@ __all__ = [
     "QuadConfig",
     "DEFAULT_QUAD",
     "WPolyHandle",
+    "XRing",
     "FinitenessSet",
     "wpoly_eval",
     "wpoly_eval_az",
@@ -191,6 +192,31 @@ class ExpPoly:
         if dominant is not None:
             return math.inf if dominant[1] > 0 else -math.inf
         return acc
+
+    def eval_many(self, xs: np.ndarray) -> np.ndarray:
+        """eval at each of xs, term by term in the same order and with the
+        same rule where a term overflows: the value is then +-inf by the
+        sign of the overflowed term with the largest r*x (then degree)."""
+        xs = np.asarray(xs, dtype=float)
+        acc = np.zeros(xs.shape)
+        top = np.full(xs.shape, -np.inf)  # r*x of the dominant overflowed term
+        top_d = np.full(xs.shape, -1)
+        sign = np.zeros(xs.shape)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for (d, r), c in self.terms.items():
+                if c == 0.0:
+                    continue
+                if r == 0.0:
+                    acc += c * xs**d
+                    continue
+                rx = r * xs
+                over = rx > 700.0
+                acc += np.where(over, 0.0, c * xs**d * np.exp(np.where(over, 0.0, rx)))
+                wins = over & ((rx > top) | ((rx == top) & (d > top_d)))
+                top = np.where(wins, rx, top)
+                top_d = np.where(wins, d, top_d)
+                sign = np.where(wins, math.copysign(1.0, c), sign)
+        return np.where(sign == 0.0, acc, np.copysign(np.inf, sign))
 
     def pretty(self, var: str = "x") -> str:
         bits = []
@@ -533,7 +559,12 @@ class _Descent:
             if x < frame.floor:
                 raise InconclusiveError(f"x - a = e^{x} is too close to a to resolve")
             cuts = frame.cuts(depth, x)
-            lo, hi = cuts[0], min(max(x + 0.5, ref), g.interval.b)
+            # Reach 0.5 past x; at a finite a, where x - a = e^x, at most 1
+            # past it in x as well, so that a fast-growing gauge is not
+            # evaluated at e^0.5 times the query.
+            reach = x + 0.5 if math.isinf(frame.floor) else min(
+                x + 0.5, math.log1p(math.exp(x)))
+            lo, hi = cuts[0], min(max(reach, ref), g.interval.b)
         else:
             # Interior anchor: a working interval around the anchor and x.
             g, ref = self.g, self.anchor
@@ -544,11 +575,13 @@ class _Descent:
         if old is not None:
             # Grow the cover toward x, at least doubling its reach past
             # ref on that side, and keep the far side, so that queries on
-            # alternating sides do not rebuild it each time.
+            # alternating sides do not rebuild it each time.  In u =
+            # log(x - a) a doubled reach is a power of x - a, so a finite
+            # a grows only to x's own reach.
             lo, hi = min(lo, old.lo), max(hi, old.hi)
-            if x > old.hi:
+            if x > old.hi and not (left and math.isfinite(frame.floor)):
                 hi = min(max(hi, 2.0 * old.hi - ref), iv.b)
-            elif not left:  # a left truncation already deepens with x
+            elif x < old.lo and not left:  # a left truncation deepens with x
                 lo = max(min(lo, 2.0 * old.lo - ref), iv.a)
         if left:
             # The deepest cut at which every gauge stays in float range (one
@@ -980,12 +1013,44 @@ class WPolyHandle:
         cache[s] = out
         return out
 
-    def pretty(self) -> str:
+    def x_ring(self) -> Optional["XRing"]:
+        """The handle's values as an ExpPoly in x on its region, or None
+        unless its evaluator is a closed-form descent in u = x (unit and
+        exponential gauges; chain_az and every part of chain_t)."""
         ev = self._full_evaluator()
-        if (isinstance(ev, _Descent) and isinstance(ev._exact, ExpPoly)
-                and ev._log_base is None):  # a ring in x, not in log(x - base)
-            return ev._exact.pretty()
+        poly = _x_poly(ev)
+        if poly is None:
+            return None
+        t = self.family[1]
+        region = {FULL: (-math.inf, math.inf), POSITIVE: (t, math.inf),
+                  NEGATIVE: (-math.inf, t)}[self.part]
+        return XRing(poly, ev.anchor if ev.levels else None, region)
+
+    def pretty(self) -> str:
+        poly = _x_poly(self._full_evaluator())
+        if poly is not None:
+            return poly.pretty()
         return f"<{self.tag}{self.family[1:]}:{self.part}>"
+
+
+class XRing(NamedTuple):
+    """A handle's values as a ring in x: ``poly`` at every x of the region
+    lo <= x < hi (and 0 outside it), except exactly 0 at ``anchor``, the
+    point a chain with at least one level integrates from (None for a bare
+    gauge level)."""
+
+    poly: ExpPoly
+    anchor: Optional[float]
+    region: tuple
+
+
+def _x_poly(ev) -> Optional[ExpPoly]:
+    """The closed form of a chain evaluator when it is a ring in x (not in
+    log(x - base)); None otherwise."""
+    if (isinstance(ev, _Descent) and isinstance(ev._exact, ExpPoly)
+            and ev._log_base is None):
+        return ev._exact
+    return None
 
 
 class _InterpSum:

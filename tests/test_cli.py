@@ -77,22 +77,26 @@ class TestExitCodes:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p
         )
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-c",
-                 "import sys; from gmono.cli import main; sys.exit(main())",
-                 "--format", "json", "dominate", "--nu1", files["nu1"],
-                 "--nu2", files["nu2"], "--gauges", files["gu"],
-                 "--k", "2", "--n", "2"],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300,
-            )
-        finally:
-            os.close(write_end)
-        assert proc.returncode == 0, proc.stderr.decode()
-        assert b"Traceback" not in proc.stderr
-        assert b"BrokenPipeError" not in proc.stderr
+        commands = [
+            ["--format", "json", "dominate", "--nu1", files["nu1"],
+             "--nu2", files["nu2"], "--gauges", files["gu"], "--k", "2", "--n", "2"],
+            ["selftest"],  # one line per criterion, not one report
+        ]
+        for argv in commands:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-c",
+                     "import sys; from gmono.cli import main; sys.exit(main())",
+                     *argv],
+                    stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300,
+                )
+            finally:
+                os.close(write_end)
+            assert proc.returncode == 0, (argv, proc.stderr.decode())
+            assert b"Traceback" not in proc.stderr
+            assert b"BrokenPipeError" not in proc.stderr
 
     def test_input_error_is_two(self, files, tmp_path):
         bad = tmp_path / "missing.json"

@@ -8,10 +8,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad as squad
 
-from gmono import Interval, UnitGauge, PreconditionError, UndefinedMomentError
+from gmono import (
+    DomainError,
+    ExponentialGauge,
+    Interval,
+    PreconditionError,
+    UndefinedMomentError,
+    UnitGauge,
+)
+from gmono.dual_cone import check_dominance
 from gmono.gderiv import ConeSpec
 from gmono.intervals import arctan_cheb_gauges
 from gmono.measures import (
@@ -30,7 +38,14 @@ from gmono.measures import (
     raw_moment,
     reflected,
 )
-from gmono.wpoly import POSITIVE, chain_t_handle
+from gmono.wpoly import (
+    FULL,
+    NEGATIVE,
+    POSITIVE,
+    chain_az_handle,
+    chain_t_handle,
+    finiteness_set,
+)
 
 R = Interval(-math.inf, math.inf)
 GU = UnitGauge(R)
@@ -115,6 +130,28 @@ class TestPartialMoments:
                     oracle, rel=1e-9, abs=1e-12
                 )
 
+    @pytest.mark.parametrize("c, n, want", [
+        # E (Z - c)_+^n to 25 digits: phi(c) n! e^(c^2/4) D_(-n-1)(c) at
+        # 40-digit precision (mpmath.pcfd).
+        (6.0, 3, 2.203935446348358185748716e-11),
+        (6.0, 5, 9.550364347214163125210407e-12),
+        (10.0, 3, 4.19843552058853132707025e-26),
+        (10.0, 5, 7.589854276131698023747304e-27),
+        (20.0, 2, 1.359912914707380877759857e-91),
+        (3.0, 5, 0.000171128379868473980687318),
+        (2.0, 8, 0.04907056829323998142348189),
+        (1.0, 5, 0.2304364391266969595769897),
+        (1.5, 1, 0.0293067937626046286073585),
+        (0.5, 3, 0.290773484789945118404301),
+        (0.0, 3, 0.7978845608028653558798921),
+        (-2.0, 5, 142.0089392541498356945937),
+        (-6.0, 3, 234.0000000000220393544635),
+    ])
+    def test_normal_upper_tail_against_reference(self, c, n, want):
+        # Far in the upper tail the binomial sum over E[Z^i 1{Z > c}]
+        # cancels (9.8e-7 relative at c = 10, n = 5).
+        assert NormalPart(0.0, 1.0).pm(c, n) == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def test_normal_upper_tail_survival(self):
         # 1 - Phi(c) cancels to 0 beyond c ~ 8.3; the survival function
         # itself is representable far past that.  References: Q(c) to 17
@@ -191,6 +228,125 @@ class TestPartialMoments:
         )
         with pytest.raises(PreconditionError):
             part.pm(0.0, 2)
+
+
+def _exp_handles(draw, n: int, g):
+    """A random chain_t (any part) or chain_az handle of g's levels 0..n."""
+    t = draw(st.floats(-3.0, 3.0))
+    kind = draw(st.sampled_from((FULL, POSITIVE, NEGATIVE, "az")))
+    if kind == "az":
+        k = draw(st.integers(0, n))
+        j = draw(st.integers(k, n))
+        assume(finiteness_set(g, n).contains(k, j))
+        return chain_az_handle(g, t, draw(st.integers(0, k)), k, j)
+    j = draw(st.integers(0, n))
+    return chain_t_handle(g, t, j, draw(st.integers(j, n)), part=kind)
+
+
+class TestExactRingMoments:
+    """Normal and Poisson parts integrate closed-form chains in x exactly
+    (WPolyHandle.x_ring with the part's integrate_ring)."""
+
+    def test_tilted_normal_tie_dominates(self):
+        # E e^(5X) for X ~ N(0.3, 1.3^2) against one atom of that mass at 0:
+        # the (i) equality row ties exactly.  Quadrature on mean +- 12 sd
+        # lost 1.9e-8 of it (the tilted mean is 8.75) and reported "fails".
+        g = ExponentialGauge(R, [5.0, 0.0, 0.0])
+        closed = math.exp(5 * 0.3 + (5 * 1.3) ** 2 / 2)
+        nu1 = MeasureRep(R, continuous=NormalPart(0.3, 1.3))
+        nu2 = MeasureRep(R, atoms=[(0.0, closed)])
+        rep = check_dominance(nu1, nu2, ConeSpec(g, 1, 1))
+        assert rep.verdict == "dominates"
+        v = gmoment(nu1, chain_t_handle(g, rep.s, 0, 0))
+        assert v == pytest.approx(closed, rel=1e-15, abs=0.0)
+
+    def test_unit_gauge_normal_moments(self):
+        # p_(t;0,3)^+ = (x - t)_+^3 / 6 and p_(t;0,3)^- against N(0.7, 1.3^2).
+        # The ring is expanded in powers of x, so its rounding is on the
+        # scale of its terms, not of a far tail's small value.
+        part = NormalPart(0.7, 1.3, 2.0)
+        nu = MeasureRep(R, continuous=part)
+        for t in (-4.0, 0.2, 6.0):
+            up = gmoment(nu, chain_t_handle(GU, t, 0, 3, part=POSITIVE))
+            assert up == pytest.approx(part.pm(t, 3) / 6, rel=1e-13, abs=1e-13)
+            low = gmoment(nu, chain_t_handle(GU, t, 0, 3, part=NEGATIVE))
+            want = -reflected(nu).continuous.pm(-t, 3) / 6
+            assert low == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+    def test_normal_off_the_whole_line_still_raises(self):
+        # The normal support leaves (0, inf): the quadrature path evaluates
+        # the chain there and the gauge interval refuses the point.
+        g = ExponentialGauge(Interval(0.0, math.inf), [0.5, 1.0])
+        h = chain_t_handle(g, 4.0, 0, 1)
+        assert h.x_ring() is not None
+        with pytest.raises(DomainError, match="point -4.0 outside interval"):
+            gmoment(MeasureRep(R, continuous=NormalPart(0.0, 1.0)), h)
+
+    def test_poisson_anchor_on_the_support(self):
+        # The chain is exactly 0 at its anchor, a support point here; a
+        # bare gauge level (j = m) keeps its value there.
+        g = ExponentialGauge(R, [0.5, -1.0, 0.3])
+        part = PoissonPart(2.5, 1.0, -1.0)
+        for j, m in [(0, 2), (1, 2), (2, 2)]:
+            for kind in (FULL, POSITIVE, NEGATIVE):
+                h = chain_t_handle(g, 1.0, j, m, part=kind)
+                ring = h.x_ring()
+                assert (ring.anchor is None) == (j == m)
+                want = part.integrate(h.eval)
+                got = part.integrate_ring(ring, g.interval)
+                assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+    def test_negative_part_anchored_at_minus_inf_is_zero(self):
+        g = ExponentialGauge(R, [0.5, 1.0])
+        h = chain_t_handle(g, -math.inf, 0, 1, part=NEGATIVE)
+        for part in (NormalPart(0.3, 1.1), PoissonPart(2.0, -1.0)):
+            assert gmoment(MeasureRep(R, continuous=part), h) == 0.0
+
+    def test_poisson_past_float_range_falls_back(self):
+        # e^(20 x) overflows on the sweep's upper support points: the exact
+        # route declines without a RuntimeWarning and gmoment signs the
+        # divergence as the scalar sweep does.
+        g = ExponentialGauge(R, [20.0])
+        h = chain_t_handle(g, 0.0, 0, 0)
+        part = PoissonPart(3.0)
+        assert part.integrate_ring(h.x_ring(), g.interval) is None
+        assert gmoment(MeasureRep(R, continuous=part), h) == math.inf
+
+    def test_quadrature_route_values_each_node_once(self):
+        # A Cauchy part has no exact route: both sign passes share one
+        # value per node, and the result is the two passes' difference.
+        nu = MeasureRep(R, continuous=CauchyPart())
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return math.atan(x) * math.exp(-x * x)
+
+        v = gmoment(nu, f)
+        assert len(seen) == len(set(seen))
+        pos = nu.continuous.integrate(lambda x: max(f(x), 0.0))
+        neg = nu.continuous.integrate(lambda x: max(-f(x), 0.0))
+        assert v == pos - neg
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_exact_route_matches_integrate(self, data):
+        draw = data.draw
+        n = draw(st.integers(0, 3))
+        lams = [draw(st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0)))
+                for _ in range(n + 1)]
+        g = ExponentialGauge(R, lams)
+        h = _exp_handles(draw, n, g)
+        if draw(st.booleans()):
+            part = NormalPart(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.5, 1.2)),
+                              draw(st.floats(0.1, 2.0)))
+        else:
+            part = PoissonPart(draw(st.floats(0.5, 6.0)),
+                               draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.5, 1.5)),
+                               draw(st.floats(-3.0, 3.0)), draw(st.floats(0.1, 2.0)))
+        got = part.integrate_ring(h.x_ring(), g.interval)
+        want = part.integrate(h.eval, [h.family[1]])
+        assert abs(got - want) <= 1e-9 * (1.0 + abs(got))
 
 
 class TestReflection:

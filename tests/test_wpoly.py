@@ -282,6 +282,47 @@ class TestPowerGaugeClosedForm:
         # The ring is in u = log(x - base), so it is not printed as if in x.
         g = PowerGauge(Interval(0.0, math.inf), 0.0, [1.5, 2.0])
         assert chain_t_handle(g, 1.0, 0, 1).pretty() == "<chain_t(1.0, 0, 1):full>"
+        assert chain_t_handle(g, 1.0, 0, 1).x_ring() is None
+
+
+class TestXRing:
+    """A handle's chain as an ExpPoly in x, for the exact moment routes."""
+
+    def test_only_closed_forms_in_x(self):
+        g = ExponentialGauge(R, [0.5, -1.0, 1.0])
+        assert chain_t_handle(g, 0.3, 0, 2).x_ring() is not None
+        assert chain_az_handle(g, 0.3, 0, 1, 2).x_ring() is not None
+        assert chain_t_handle(table_clone([0.5, -1.0, 1.0]), 0.3, 0, 2).x_ring() is None
+        assert interpolate(g, 0.0, [1.0, 2.0]).x_ring() is None
+
+    def test_region_and_anchor(self):
+        g = ExponentialGauge(R, [0.5, -1.0, 1.0])
+        for part, region in [(FULL, (-math.inf, math.inf)),
+                             (POSITIVE, (0.3, math.inf)),
+                             (NEGATIVE, (-math.inf, 0.3))]:
+            h = chain_t_handle(g, 0.3, 0, 2, part=part)
+            ring = h.x_ring()
+            assert ring.region == region and ring.anchor == 0.3
+            for x in (-1.0, 0.29, 0.31, 2.0):
+                lo, hi = ring.region
+                want = ring.poly.eval(x) if lo <= x < hi else 0.0
+                assert h.eval(x) == want
+        assert chain_t_handle(g, 0.3, 2, 2).x_ring().anchor is None
+        assert chain_az_handle(g, 0.3, 0, 1, 2).x_ring().anchor == 0.3
+
+    def test_eval_many_is_eval(self):
+        # Term by term in eval's order, with its overflow rule: past
+        # e^700 the value is +-inf by the dominant term's sign.
+        p = wpoly.ExpPoly({(0, 1.0): 1.0, (3, 2.0): -3.0, (1, -1.0): 0.5,
+                           (5, 0.0): 0.25, (2, 2.5): 7.0})
+        xs = np.concatenate([[0.0, -0.0, 1.0, 351.0, -701.0, -800.0, 1e3, -1e3],
+                             np.linspace(-300.0, 300.0, 601)])
+        got = p.eval_many(xs)
+        want = np.array([p.eval(float(x)) for x in xs])
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        assert np.all(got[np.isinf(got)] == want[np.isinf(want)])
+        fin = np.isfinite(want)
+        assert np.all(np.abs(got[fin] - want[fin]) <= 1e-14 * np.abs(want[fin]))
 
 
 class TestFiniteOpenLeftEndpoint:
@@ -345,6 +386,18 @@ class TestFiniteOpenLeftEndpoint:
         h = chain_t_handle(g, 0.0, 0, 2)
         for x in (1e-6, 1e-3, 0.5, 2.0):
             assert h.eval(x) == pytest.approx(quad_chain_rel(g, 0.0, 0, 2, x), rel=1e-10)
+
+    def test_fast_gauge_far_from_a(self):
+        # p_{0;0,1}(x) = e^x - 1 for w_1 = exp: the cover reaches at most 1
+        # past the query in x, not e^0.5 times it, where exp overflows.
+        g = TableGauge(Interval(0.0, math.inf), [lambda x: 1.0, math.exp])
+        xs = (300.0, 450.0, 500.0)
+        for x in xs:
+            assert chain_t_handle(g, 0.0, 0, 1).eval(x) == pytest.approx(
+                math.expm1(x), rel=1e-12)
+        h = chain_t_handle(g, 0.0, 0, 1)  # each query grows the cover
+        assert [h.eval(x) for x in xs] == pytest.approx(
+            [math.expm1(x) for x in xs], rel=1e-12)
 
     def test_float_range_breakdown_is_inconclusive(self):
         # w_1 = x^-40 overflows below x = e^-17.7, short of every cut that
