@@ -23,7 +23,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy import integrate as _si
 
 from .dual_cone import _interior_point
 from .errors import DomainError, PreconditionError
@@ -167,6 +166,8 @@ def cheb_ratio(q: RatioQuery) -> float:
 
 def cheb_ratio_quadrature(q: RatioQuery) -> float:
     """Independent route: adaptive quadrature over the real line."""
+    from scipy import integrate  # loaded by the quadrature routes only
+
     f1, f2 = _as_callable(q.f1), _as_callable(q.f2)
 
     def afp(f):
@@ -178,7 +179,7 @@ def cheb_ratio_quadrature(q: RatioQuery) -> float:
         total = 0.0
         edges = [-math.inf] + sorted(pts) + [math.inf]
         for a, b in zip(edges[:-1], edges[1:]):
-            v, _ = _si.quad(
+            v, _ = integrate.quad(
                 lambda x: f(x) / (math.pi * (1.0 + x * x)),
                 a,
                 b,

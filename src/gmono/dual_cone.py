@@ -246,12 +246,14 @@ def check_dominance(
             label = f"p_(a,z;0:{k}:{j})"
             add(_ordered_row("ii", label, *moments(h), tol_eq),
                 lambda row: (fn_from_wpoly(h), label))
-        fam = chain_t_two_arg(g, 0, n, quad)
-        for t in t_grid:
-            if pure_atoms:
-                v1, v2 = _atom_pm(nu1, fam, t), _atom_pm(nu2, fam, t)
-            else:
-                v1, v2 = moments(chain_t_handle(g, t, 0, n, part=POSITIVE, quad=quad))
+        if pure_atoms:
+            fam = chain_t_two_arg(g, 0, n, quad)
+            ts = np.array(t_grid)
+            pairs = zip(_atoms_pm(nu1, fam, ts), _atoms_pm(nu2, fam, ts))
+        else:
+            pairs = (moments(chain_t_handle(g, t, 0, n, part=POSITIVE, quad=quad))
+                     for t in t_grid)
+        for t, (v1, v2) in zip(t_grid, pairs):
             add(_ordered_row("iii", f"t={t:.17g}", v1, v2, tol_eq),
                 lambda row: positive_part(t))
     except UndefinedMomentError:
@@ -302,13 +304,18 @@ def _signed_witness(h: WPolyHandle, gap: float, label: str):
     return fn, f"{'-' if sign < 0 else ''}{label}"
 
 
-def _atom_pm(nu: MeasureRep, fam, t: float) -> float:
-    acc = 0.0
-    for x, m in nu.atoms:
-        if m > 0 and x >= t:
-            v = fam(t, x)
-            acc += m * v if math.isfinite(v) else math.inf
-    return acc
+def _atoms_pm(nu: MeasureRep, fam, ts: np.ndarray) -> list:
+    """sum m p+_{t;0,n}(x) over nu's atoms at each t of ts, +inf where a
+    term is not finite: one fam call over (t, atom), summed atom by atom."""
+    atoms = [(x, m) for x, m in nu.atoms if m > 0]
+    acc = np.zeros(len(ts))
+    if atoms:
+        vals = fam(ts[:, None], np.array([x for x, _ in atoms]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for col, (_, m) in enumerate(atoms):
+                v = vals[:, col]
+                acc += np.where(np.isfinite(v), m * v, math.inf)
+    return acc.tolist()
 
 
 def _inconclusive(s, z, t_grid, tol_eq) -> DominanceReport:
@@ -342,6 +349,15 @@ def _exact_atom_refinement(nu1, nu2, n, iv):
     lo_edge = iv.a if math.isfinite(iv.a) else knots[0] - 1e3
     hi_edge = iv.b if math.isfinite(iv.b) else knots[-1]
     edges = [lo_edge] + knots + [hi_edge]
+    # Each atom's signed m (x - t)^n as coefficients of a polynomial in t.
+    rows = [
+        (x, np.array([sgn * m * math.comb(n, r) * x ** (n - r) * (-1.0) ** r
+                      for r in range(n + 1)]))
+        for x, m, sgn in [(x, m, +1) for x, m in nu1.atoms]
+        + [(x, m, -1) for x, m in nu2.atoms]
+        if m != 0
+    ]
+    P = np.polynomial.polynomial
     worst = None
     for a, b in zip(edges[:-1], edges[1:]):
         if not a < b:
@@ -349,31 +365,20 @@ def _exact_atom_refinement(nu1, nu2, n, iv):
         # margin(t) = sum_{atoms x >= b-} m (x - t)^n difference; on (a, b)
         # the active set is {x >= b} plus possibly x == b itself.
         coeffs = np.zeros(n + 1)
-        for x, m, sgn in [(x, m, +1) for x, m in nu1.atoms] + [
-            (x, m, -1) for x, m in nu2.atoms
-        ]:
-            if m == 0 or x < b:
-                continue
-            if n == 0:
-                coeffs[0] += sgn * m
-                continue
-            # (x - t)^n as a polynomial in t.
-            for r in range(n + 1):
-                coeffs[r] += sgn * m * math.comb(n, r) * x ** (n - r) * (-1.0) ** r
-        poly = np.polynomial.Polynomial(coeffs)
+        for x, row in rows:
+            if not x < b:
+                coeffs += row
         unbounded_left = a == edges[0] and not math.isfinite(iv.a)
         cands = [0.5 * (a + b), b]
         if math.isfinite(a):
             cands.append(a)
         if n >= 2:
-            roots = poly.deriv().roots()
-            for r in roots:
+            for r in P.polyroots(P.polyder(coeffs)):
                 if abs(r.imag) < 1e-9 and r.real < b and (unbounded_left or r.real > a):
                     cands.append(float(r.real))
         if unbounded_left:
             cands.extend(_left_tail_candidates(nu1, nu2, n, knots[0]))
-        for t in cands:
-            v = float(poly(t))
+        for t, v in zip(cands, P.polyval(np.array(cands), coeffs).tolist()):
             if worst is None or v < worst[0]:
                 worst = (v, t)
     if worst is None:
@@ -472,28 +477,38 @@ def oracle_equivalence(
     lo = min(locs) - 2.0
     hi = max(locs) + 2.0
     # The fixed generators do not depend on the trial: one row per handle,
-    # one column per atom, so a trial's fixed part is one product.
+    # one column per atom, so every trial's fixed part is one product.
     H = np.array(
         [[h.eval(x) for x in locs] for h in basis_low + basis_az]
     ).reshape(-1, len(locs))
     split = len(atoms1)
 
-    violations = []
-    worst = math.inf
+    # Draw every trial first (1 to 5 positive parts each); then the p-th
+    # positive part of every trial that has one is a single fam call over
+    # (trial, atom).
+    fixed, ts, c_pos = [], np.zeros((trials, 5)), np.zeros((trials, 5))
+    n_parts = np.zeros(trials, dtype=int)
     for trial in range(trials):
         a_signed = rng.normal(size=k)
         b_pos = rng.exponential(size=len(basis_az))
-        n_parts = int(rng.integers(1, 6))
-        ts = rng.uniform(lo, hi, size=n_parts)
-        c_pos = rng.exponential(size=n_parts)
+        n_parts[trial] = p = int(rng.integers(1, 6))
+        ts[trial, :p] = rng.uniform(lo, hi, size=p)
+        c_pos[trial, :p] = rng.exponential(size=p)
+        fixed.append(np.concatenate([a_signed, b_pos]))
+    vals = np.array(fixed).reshape(trials, len(H)) @ H
+    x_at = np.array(locs)
+    for p in range(5):
+        on = n_parts > p
+        if not on.any():
+            break
+        vals[on] += c_pos[on, p, None] * fam(ts[on, p, None], x_at)
 
-        vals = np.concatenate([a_signed, b_pos]) @ H
-        for col, x in enumerate(locs):
-            for coef, t in zip(c_pos, ts):
-                if x >= t:
-                    vals[col] += coef * fam(t, x)
-        m1 = math.fsum(m * v for (_, m), v in zip(atoms1, vals[:split]))
-        m2 = math.fsum(m * v for (_, m), v in zip(atoms2, vals[split:]))
+    violations = []
+    worst = math.inf
+    terms1 = (vals[:, :split] * [m for _, m in atoms1]).tolist()
+    terms2 = (vals[:, split:] * [m for _, m in atoms2]).tolist()
+    for trial, (row1, row2) in enumerate(zip(terms1, terms2)):
+        m1, m2 = math.fsum(row1), math.fsum(row2)
         margin = m1 - m2
         worst = min(worst, margin)
         if report.dominates and margin < -tol * (1.0 + abs(m1) + abs(m2)):

@@ -316,7 +316,7 @@ class MixtureLevels:
         mu = self.mu
         acc = 0.0
         for t, mass in mu.atoms:
-            if mass == 0.0 or t > x or t < y:
+            if mass == 0.0 or t < y:
                 continue
             v = fn(t, x)
             if not math.isfinite(v):
@@ -324,7 +324,7 @@ class MixtureLevels:
             acc += mass * v
         if mu.continuous is not None:
             c = mu.continuous.integrate(
-                lambda t: fn(t, x) if y <= t <= x else 0.0,
+                lambda t: fn(t, x) if t >= y else 0.0,
                 breakpoints=[v for v in (y, x) if math.isfinite(v)],
             )
             if not math.isfinite(c):

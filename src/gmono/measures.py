@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate as _si
 
 from .errors import (
     DomainError,
@@ -131,9 +130,11 @@ def _quad(f, a, b, limit=200) -> float:
     integrands here are smooth densities times chain polynomials, for which
     quadpack failures mean non-integrable growth, not oscillation.
     """
+    from scipy import integrate  # loaded by the quadrature routes only
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        out = _si.quad(
+        out = integrate.quad(
             f, a, b, epsabs=1e-12, epsrel=1e-11, limit=limit, full_output=1
         )
     val, abserr = out[0], out[1]

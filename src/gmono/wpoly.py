@@ -1165,33 +1165,61 @@ def interpolate(
 
 def chain_t_two_arg(
     g: GaugeSpec, j: int, m: int, quad: QuadConfig = DEFAULT_QUAD
-) -> Callable[[float, float], float]:
-    """Return a fast (t, x) -> p_{t;j,m}(x) evaluator for finite anchors t.
+) -> Callable:
+    """Return a (t, x) -> p+_{t;j,m}(x) evaluator for finite anchors t: the
+    chain's value where x >= t and 0 where x < t.
+
+    A pair of Python floats gives a float.  Arrays broadcast against each
+    other and give an array, so a grid of anchors against a set of points
+    is one call.
 
     For unit/exponential gauges the chain satisfies the translation
     identity p_{t;j,m}(x) = exp(sigma*t) * p_{0;j,m}(x - t) with sigma the
     sum of the exponent parameters over levels j..m, so a single chain
-    built at t = 0 serves every anchor.  Other gauges fall back to per-t
-    handles with a small cache.
+    built at t = 0 serves every anchor, and an array call is one
+    ExpPoly.eval_many.  Other gauges fall back to per-t evaluators with a
+    small cache, one scalar eval per cell with x >= t.
     """
     if isinstance(g, (UnitGauge, ExponentialGauge)):
         lam = _ring_rate(g)
         sigma = math.fsum(lam(s) for s in range(j, m + 1))
         base = _descend(_gauge_ring(g, m), g, range(m - 1, j - 1, -1), 0.0)
 
-        def fast(t: float, x: float) -> float:
-            return _safe_exp(sigma * t) * base.eval(x - t)
+        def one(t: float, x: float) -> float:
+            return _safe_exp(sigma * t) * base.eval(x - t) if x >= t else 0.0
 
-        return fast
+        def many(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+            st = sigma * t
+            with np.errstate(over="ignore", invalid="ignore"):
+                # _safe_exp's cut-offs, so that overflowed cells match one().
+                scale = np.where(st > 700.0, np.inf,
+                                 np.where(st < -745.0, 0.0, np.exp(st)))
+                return scale * base.eval_many(x - t)
+    else:
+        cache: dict = {}
 
-    cache: dict = {}
+        def one(t: float, x: float) -> float:
+            if not x >= t:
+                return 0.0
+            ev = cache.get(t)
+            if ev is None:
+                ev = _chain_t(g, t, j, m, quad)
+                if len(cache) < 4096:
+                    cache[t] = ev
+            return ev.eval(x)
 
-    def slow(t: float, x: float) -> float:
-        ev = cache.get(t)
-        if ev is None:
-            ev = _chain_t(g, t, j, m, quad)
-            if len(cache) < 4096:
-                cache[t] = ev
-        return ev.eval(x)
+        def many(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+            return np.array([one(a, b) for a, b in zip(t.tolist(), x.tolist())],
+                            dtype=float)
 
-    return slow
+    def family(t, x):
+        if isinstance(t, (float, int)) and isinstance(x, (float, int)):
+            return one(t, x)
+        t, x = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                   np.asarray(x, dtype=float))
+        out = np.zeros(t.shape)
+        on = x >= t
+        out[on] = many(t[on], x[on])
+        return out
+
+    return family

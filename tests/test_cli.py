@@ -98,6 +98,22 @@ class TestExitCodes:
             assert b"Traceback" not in proc.stderr
             assert b"BrokenPipeError" not in proc.stderr
 
+    def test_import_loads_no_scipy(self):
+        # scipy is loaded by the quadrature routes only, not by the import.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gmono.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, gmono.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_input_error_is_two(self, files, tmp_path):
         bad = tmp_path / "missing.json"
         code = main([

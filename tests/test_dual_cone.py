@@ -16,7 +16,13 @@ from gmono.measures import (
     central_moment_about,
     partial_moment,
 )
-from gmono.dual_cone import check_dominance, default_t_grid, oracle_equivalence
+from gmono.dual_cone import (
+    _exact_atom_refinement,
+    _left_tail_candidates,
+    check_dominance,
+    default_t_grid,
+    oracle_equivalence,
+)
 from gmono.wpoly import (
     DEFAULT_QUAD,
     WPolyHandle,
@@ -457,3 +463,74 @@ class TestOracleAgainstPerAtomReference:
             oracle_equivalence(nu1, nu2, ConeSpec(g, 1, 3), trials=trials, seed=5)
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+
+def reference_refinement(nu1, nu2, n, iv):
+    """_exact_atom_refinement as it was with one coefficient loop per piece
+    and numpy Polynomial objects: the arithmetic the batched rows keep."""
+    knots = sorted({x for x, m in (nu1.atoms + nu2.atoms) if m > 0})
+    if not knots:
+        return None
+    lo_edge = iv.a if math.isfinite(iv.a) else knots[0] - 1e3
+    hi_edge = iv.b if math.isfinite(iv.b) else knots[-1]
+    edges = [lo_edge] + knots + [hi_edge]
+    worst = None
+    for a, b in zip(edges[:-1], edges[1:]):
+        if not a < b:
+            continue
+        coeffs = np.zeros(n + 1)
+        for x, m, sgn in [(x, m, +1) for x, m in nu1.atoms] + [
+            (x, m, -1) for x, m in nu2.atoms
+        ]:
+            if m == 0 or x < b:
+                continue
+            if n == 0:
+                coeffs[0] += sgn * m
+                continue
+            for r in range(n + 1):
+                coeffs[r] += sgn * m * math.comb(n, r) * x ** (n - r) * (-1.0) ** r
+        poly = np.polynomial.Polynomial(coeffs)
+        unbounded_left = a == edges[0] and not math.isfinite(iv.a)
+        cands = [0.5 * (a + b), b]
+        if math.isfinite(a):
+            cands.append(a)
+        if n >= 2:
+            roots = poly.deriv().roots()
+            for r in roots:
+                if abs(r.imag) < 1e-9 and r.real < b and (unbounded_left or r.real > a):
+                    cands.append(float(r.real))
+        if unbounded_left:
+            cands.extend(_left_tail_candidates(nu1, nu2, n, knots[0]))
+        for t in cands:
+            v = float(poly(t))
+            if worst is None or v < worst[0]:
+                worst = (v, t)
+    if worst is None:
+        return None
+    t = worst[1]
+
+    def moment(nu):
+        return math.fsum(
+            m * (x - t) ** n for x, m in nu.atoms if m > 0 and x >= t
+        ) / math.factorial(n)
+
+    return t, moment(nu1), moment(nu2)
+
+
+def test_refinement_is_bit_identical_to_reference():
+    rng = np.random.default_rng(20261018)
+    boxed = Interval(-4.0, 4.0, left_closed=True, right_closed=True)
+    for idx in range(200):
+        iv = boxed if idx % 4 == 3 else R
+        nu1, nu2 = random_pair(rng, iv, max_atoms=40)
+        if rng.random() < 0.5:
+            # Matched means: nu2 shifted onto nu1's mean (kept inside iv).
+            def mean(nu):
+                return math.fsum(x * m for x, m in nu.atoms) / nu.total_mass()
+
+            shift = mean(nu1) - mean(nu2)
+            nu2 = MeasureRep(iv, atoms=[(min(max(x + shift, -4.0), 4.0), m)
+                                        for x, m in nu2.atoms])
+        n = int(rng.integers(0, 6))
+        got = _exact_atom_refinement(nu1, nu2, n, iv)
+        assert got == reference_refinement(nu1, nu2, n, iv), (idx, n)
