@@ -248,8 +248,7 @@ def check_dominance(
                 lambda row: (fn_from_wpoly(h), label))
         if pure_atoms:
             fam = chain_t_two_arg(g, 0, n, quad)
-            ts = np.array(t_grid)
-            pairs = zip(_atoms_pm(nu1, fam, ts), _atoms_pm(nu2, fam, ts))
+            pairs = zip(*_atoms_pm((nu1, nu2), fam, np.array(t_grid)))
         else:
             pairs = (moments(chain_t_handle(g, t, 0, n, part=POSITIVE, quad=quad))
                      for t in t_grid)
@@ -304,18 +303,23 @@ def _signed_witness(h: WPolyHandle, gap: float, label: str):
     return fn, f"{'-' if sign < 0 else ''}{label}"
 
 
-def _atoms_pm(nu: MeasureRep, fam, ts: np.ndarray) -> list:
-    """sum m p+_{t;0,n}(x) over nu's atoms at each t of ts, +inf where a
-    term is not finite: one fam call over (t, atom), summed atom by atom."""
-    atoms = [(x, m) for x, m in nu.atoms if m > 0]
-    acc = np.zeros(len(ts))
-    if atoms:
-        vals = fam(ts[:, None], np.array([x for x, _ in atoms]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for col, (_, m) in enumerate(atoms):
+def _atoms_pm(nus: Sequence[MeasureRep], fam, ts: np.ndarray) -> list:
+    """For each measure of nus, sum m p+_{t;0,n}(x) over its atoms at each
+    t of ts, +inf where a term is not finite: one fam call over (t, atom)
+    for every measure's atoms, summed atom by atom per measure."""
+    atoms = [[(x, m) for x, m in nu.atoms if m > 0] for nu in nus]
+    locs = [x for each in atoms for x, _ in each]
+    vals = fam(ts[:, None], np.array(locs)) if locs else None
+    sums, col = [], 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for each in atoms:
+            acc = np.zeros(len(ts))
+            for _, m in each:
                 v = vals[:, col]
                 acc += np.where(np.isfinite(v), m * v, math.inf)
-    return acc.tolist()
+                col += 1
+            sums.append(acc.tolist())
+    return sums
 
 
 def _inconclusive(s, z, t_grid, tol_eq) -> DominanceReport:

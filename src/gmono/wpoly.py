@@ -24,7 +24,10 @@ per chain: exact term arithmetic when the start has a closed form, then a
 single-level antiderivative shortcut for table gauges that provide one,
 then the divergence probe for chains anchored at a, and otherwise the
 numeric chain integrator ``PanelChain`` (composite Clenshaw-Curtis panels
-summed outward from the anchor).  A chain anchored at a finite open a runs
+summed outward from the anchor).  Where one chain is wanted at many
+anchors (the probe's windows, the batched two-argument family), per-panel
+transfer matrices (``PanelTransfer``) are composed instead, by Chen's
+identity for iterated integrals.  A chain anchored at a finite open a runs
 in u = log(x - a) under the paper's change of scale x = a + e^u, which
 sends a to u = -inf: one probe serves both kinds of left endpoint, and
 the chain is cut in that probe's windows.  The numeric route is
@@ -91,6 +94,10 @@ _PROBE_WINDOWS = 24  # windows of the left-endpoint divergence probe
 # per window) shrinks a tail by 2^-53 over 128 of them and by 1e-10 over 80.
 _TAIL_WINDOWS = (128, 104, 80)
 _FLOAT_RANGE = (OverflowError, ZeroDivisionError, GaugeError)  # range breakdown
+# A left chain's cover whose top lies above a query's own cover is reused
+# for it only while the largest value on the query's panel is within this
+# factor of the query's value.
+_SCALE_FIT = 1e3
 
 
 @dataclass(frozen=True)
@@ -332,7 +339,7 @@ class PanelChain:
         # float range even when the outermost gauge overflows deep inside
         # the working interval.
         self.final_gauge = self.levels[-1] if defer_final and self.levels else None
-        self._coeffs = self._build()
+        self._build()
 
     def _run(self, breaks: np.ndarray, order: int):
         width = (breaks[1:] - breaks[:-1])[:, None]
@@ -373,20 +380,33 @@ class PanelChain:
             hires = self._run(breaks, 48)
             cv = hires @ _at_probes(48)
             err = np.max(np.abs(lowres @ _at_probes(32) - cv), axis=1)
-            tol = self.quad.abs_tol + self.quad.rel_tol * (
-                1e-30 + np.max(np.abs(cv), axis=1)
-            )
-            bad = np.flatnonzero(~(err <= tol))
+            bad = np.flatnonzero(~(err <= _tolerance(self.quad, np.max(np.abs(cv), axis=1))))
             if not len(bad):
                 self.breaks = breaks
-                return hires
+                self._coeffs = hires
+                self._scale = np.max(np.abs(cv), axis=1)
+                return
             if len(breaks) > 1024:
                 break
             breaks = np.insert(breaks, bad + 1, 0.5 * (breaks[bad] + breaks[bad + 1]))
+        self._no_convergence(len(breaks) - 1)
+
+    def _no_convergence(self, panels: int):
         raise QuadratureError(
-            f"panel chain did not converge with {len(breaks) - 1} panels on "
+            f"panel chain did not converge with {panels} panels on "
             f"[{self.lo}, {self.hi}]"
         )
+
+    def _panel_of(self, x: float) -> int:
+        p = int(np.searchsorted(self.breaks, x, side="right") - 1)
+        return min(max(p, 0), len(self.breaks) - 2)
+
+    def fits(self, x: float) -> bool:
+        """Whether the largest value on x's panel, to which the panel's
+        agreement test scales its tolerance, is within _SCALE_FIT of the
+        value at x: where it is not, that value may have lost its
+        relative accuracy."""
+        return self._scale[self._panel_of(x)] <= _SCALE_FIT * abs(self.eval(x, 1.0))
 
     def eval(self, x: float, final: Optional[float] = None) -> float:
         """Value at x; ``final``, when given, is the deferred gauge factor."""
@@ -394,14 +414,89 @@ class PanelChain:
             raise DomainError("query outside working interval")
         if x == self.anchor and self.levels:
             return 0.0  # the integral from the anchor to itself
-        p = int(np.searchsorted(self.breaks, x, side="right") - 1)
-        p = min(max(p, 0), len(self.breaks) - 2)
+        p = self._panel_of(x)
         a, b = self.breaks[p], self.breaks[p + 1]
         u = 2.0 * (x - a) / (b - a) - 1.0
         v = float(np.polynomial.chebyshev.chebval(u, self._coeffs[p]))
         if self.final_gauge is not None:
             v *= self.gauges.value(self.final_gauge, x) if final is None else final
         return v
+
+
+def _tolerance(quad: QuadConfig, scale):
+    """The two-order agreement test's tolerance for values of size scale."""
+    return quad.abs_tol + quad.rel_tol * (1e-30 + scale)
+
+
+class PanelTransfer(PanelChain):
+    """The transfer matrices of levels j..m over panels, one per panel.
+
+    T(t, x) is the unit upper-triangular matrix whose entry [r][c] is the
+    ordered iterated integral of w_{j+r+1} ... w_{j+c} over
+    t <= y_c <= ... <= y_{r+1} <= x, so that p_{t;j,m}(x) =
+    w_j(x) T(t, x)[0][m - j].  Chen's identity for iterated integrals,
+    T(t, x) = T(s, x) T(t, s) for t <= s <= x, makes the matrix between
+    any two breaks the product of the panel matrices ``mats[k]`` =
+    T(b_k, b_{k+1}) between them.  Positive gauges give nonnegative
+    entries, so those products never cancel and keep relative accuracy
+    however small the values are.
+
+    Row r of T(b_k, y) is e_r plus the integral from b_k of w_{j+r+1}
+    times row r + 1, so each gauge level is evaluated once per order, at
+    every panel's Chebyshev nodes.  A panel passes when the entries of its
+    matrix at orders 32 and 48 agree to PanelChain's tolerance; panels are
+    independent, so only failing ones are bisected and run again.
+    """
+
+    def __init__(self, gauges: GaugeSpec, levels: Sequence[int], breaks: np.ndarray,
+                 quad: QuadConfig = DEFAULT_QUAD):
+        super().__init__(gauges, levels, breaks, start_values=None, quad=quad)
+
+    def _ends(self, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+        """T(a_k, b_k) for panels [a_k, b_k], at one order."""
+        half = ((b - a) / 2.0)[:, None, None]
+        xs = a[:, None] + (_cheb_nodes(order) + 1.0) * half[:, 0]
+        q_t = _cheb_cumulative(order).T
+        size = len(self.levels)
+        row = np.zeros((len(a), size, order + 1))  # row r of T(a_k, node)
+        row[:, -1] = 1.0
+        ends = np.empty((len(a), size, size))
+        ends[:, -1] = row[..., -1]
+        for r in range(size - 2, -1, -1):
+            w = self.gauges.values(self.levels[r + 1], xs.ravel()).reshape(xs.shape)
+            if np.any((w == 0.0)[:, None, :] & (row > 1e250)):
+                raise QuadratureError(
+                    "gauge underflow against a huge integral: float range breakdown"
+                )
+            row = (row * w[:, None, :]) @ q_t
+            row *= half
+            row[:, r] += 1.0
+            ends[:, r] = row[..., -1]
+        return ends
+
+    def _build(self):
+        a, b = self.breaks[:-1], self.breaks[1:]
+        done_a, done_m = [], []
+        for _ in range(9):
+            low = self._ends(a, b, 32)
+            high = self._ends(a, b, 48)
+            ok = np.all(np.abs(low - high) <= _tolerance(self.quad, np.abs(high)),
+                        axis=(1, 2))
+            done_a.append(a[ok])
+            done_m.append(high[ok])
+            a, b = a[~ok], b[~ok]
+            count = sum(len(d) for d in done_a) + len(a)
+            if not len(a):
+                los = np.concatenate(done_a)
+                order = np.argsort(los)
+                self.breaks = np.append(los[order], self.hi)
+                self.mats = np.concatenate(done_m)[order]
+                return
+            if count > 1024:
+                break
+            mid = 0.5 * (a + b)
+            a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        self._no_convergence(count)
 
 
 def _panel_breaks(lo: float, hi: float) -> np.ndarray:
@@ -549,9 +644,9 @@ class _Descent:
     def _chain_for(self, x: float) -> PanelChain:
         """The PanelChain covering x, a point of the left frame if anchored at a."""
         old = self._panel
-        if old is not None and old.lo <= x <= old.hi:
-            return old
         left = self._left is not None
+        if old is not None and old.lo <= x <= old.hi and not left:
+            return old
         if left:
             # Cut in the probe's windows, which end at the probe point ref.
             frame, depth = self._left
@@ -565,6 +660,13 @@ class _Descent:
             reach = x + 0.5 if math.isinf(frame.floor) else min(
                 x + 0.5, math.log1p(math.exp(x)))
             lo, hi = cuts[0], min(max(reach, ref), g.interval.b)
+            if old is not None and old.lo <= x <= old.hi:
+                # A panel is accurate relative to its own largest value:
+                # where x's panel reaches above x's own cover and its
+                # scale does not fit x, rebuild for x alone.
+                if old.breaks[old._panel_of(x) + 1] <= hi or old.fits(x):
+                    return old
+                old = None
         else:
             # Interior anchor: a working interval around the anchor and x.
             g, ref = self.g, self.anchor
@@ -707,7 +809,71 @@ def _strongly_decayed(incs, vals, quad: QuadConfig) -> bool:
     return 0.0 <= incs[-1] <= tol and incs[-1] <= 0.1 * incs[-2]
 
 
-def _probe_left_chain(frame: _LeftFrame, j: int, m: int, quad: QuadConfig):
+class _WindowSweep:
+    """T(L_i, x0) of a left frame's levels lo..hi at the probe's window
+    anchors L_i = frame.anchor_at(i), built window by window.
+
+    Window i's segment [L_i, L_{i-1}] (x0 in place of L_{-1}) is built
+    once, as a PanelTransfer on _panel_breaks of the segment, and
+    T(L_i, x0) = T(L_{i-1}, x0) T(L_i, L_{i-1}); every pair (j, m) in
+    lo..hi reads its truncations p_{L_i;j,m}(x0) = w_j(x0) T(L_i, x0)[j][m]
+    from the same matrices.
+
+    Where a segment's build breaks down (a gauge leaves float range, or a
+    panel does not converge), a pair that reaches that window goes on in
+    a sweep of its own levels j..m, since the level that broke down may
+    not be among them.  That sweep starts from the block j..m of the
+    windows built so far, which is their T of levels j..m alone, so a
+    breakdown stays attributed to the pair and the window where it
+    happens.
+    """
+
+    def __init__(self, frame: _LeftFrame, lo: int, hi: int, quad: QuadConfig):
+        self.frame = frame
+        self.lo = lo
+        self.levels = range(lo, hi + 1)
+        self.quad = quad
+        self._at: list = []  # T(L_i, x0) for the windows built so far
+        self._broken: Optional[Exception] = None  # what stopped the next window
+        self._own: dict = {}  # (j, m) -> the pair's own sweep past a breakdown
+
+    def value(self, i: int, j: int, m: int) -> float:
+        """p_{L_i;j,m}(x0) in the frame's gauges."""
+        while len(self._at) <= i and self._broken is None:
+            self._extend()
+        if len(self._at) <= i:
+            if len(self.levels) == m - j + 1:
+                raise self._broken
+            own = self._own.get((j, m))
+            if own is None:
+                own = self._own[j, m] = _WindowSweep(self.frame, j, m, self.quad)
+                block = slice(j - self.lo, m - self.lo + 1)
+                own._at = [acc[block, block] for acc in self._at]
+            return own.value(i, j, m)
+        v = float(self._at[i][j - self.lo, m - self.lo])
+        if math.isnan(v):
+            raise OverflowError(f"window {i}: inf * 0 in the transfer product")
+        f = self.frame
+        return v * f.gauges.value(j, f.x0)
+
+    def _extend(self) -> None:
+        f, i = self.frame, len(self._at)
+        top = f.x0 if i == 0 else f.anchor_at(i - 1)
+        try:
+            mats = PanelTransfer(f.gauges, self.levels,
+                                 _panel_breaks(f.anchor_at(i), top), self.quad).mats
+        except (*_FLOAT_RANGE, QuadratureError) as exc:
+            self._broken = exc
+            return
+        acc = self._at[-1] if self._at else np.eye(len(self.levels))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for mat in mats[::-1]:  # leftward: R <- R T_k
+                acc = acc @ mat
+        self._at.append(acc)
+
+
+def _probe_left_chain(frame: _LeftFrame, j: int, m: int, quad: QuadConfig,
+                      sweep: Optional[_WindowSweep] = None):
     """Decide the left-endpoint dichotomy by truncated-anchor probing.
 
     In the ``_LeftFrame``, where a is u = -inf, truncations p_{L;j,m}(x0)
@@ -718,7 +884,11 @@ def _probe_left_chain(frame: _LeftFrame, j: int, m: int, quad: QuadConfig):
     non-decreasing increments certify divergence; anything else raises
     InconclusiveError rather than guessing.  Returns (finite, depth of the
     last certified window), from which ``frame.cuts`` cuts the chain.
+    The truncations come from ``sweep`` (one of levels j..m by default),
+    which several pairs of one frame may share.
     """
+    if sweep is None:
+        sweep = _WindowSweep(frame, j, m, quad)
     x0, floor, anchor_at = frame.x0, frame.floor, frame.anchor_at
     vals, incs = [], []
     decided_at = None
@@ -726,7 +896,7 @@ def _probe_left_chain(frame: _LeftFrame, j: int, m: int, quad: QuadConfig):
         try:
             if i and anchor_at(i - 1) == floor:  # the last window reached it
                 raise OverflowError(f"window {i} stays at the float floor")
-            v = _left_chain(frame.gauges, j, m, anchor_at(i), x0, quad).eval(x0)
+            v = sweep.value(i, j, m)
         except _FLOAT_RANGE as exc:
             # Float range breakdown inside this window; decide from the
             # evidence gathered so far, never by fiat.
@@ -879,13 +1049,14 @@ def finiteness_set(
     # that the probe's GaugeError can only mean a range breakdown.
     g.shifted(n)
     frame = _left_frame(g, n)
+    sweep = _WindowSweep(frame, 0, n, quad)
     for m in range(n + 1):
         put(m, m, True)
         for j in range(m - 1, -1, -1):
             if table[j + 1][m - j - 1] is False:
                 put(j, m, False)  # dichotomy propagates downward
                 continue
-            finite, _ = _probe_left_chain(frame, j, m, quad)
+            finite, _ = _probe_left_chain(frame, j, m, quad, sweep)
             put(j, m, finite)
     return FinitenessSet(g, n, _freeze(table), "probe")
 
@@ -1177,8 +1348,16 @@ def chain_t_two_arg(
     identity p_{t;j,m}(x) = exp(sigma*t) * p_{0;j,m}(x - t) with sigma the
     sum of the exponent parameters over levels j..m, so a single chain
     built at t = 0 serves every anchor, and an array call is one
-    ExpPoly.eval_many.  Other gauges fall back to per-t evaluators with a
-    small cache, one scalar eval per cell with x >= t.
+    ExpPoly.eval_many.
+
+    Gauges with no closed form and no one-level antiderivative take one
+    panel cover per array call, over [min t, max x] with every distinct t
+    and x as a break (``_swept_chain``): a leftward sweep through the panels'
+    transfer matrices gives every cell, with relative accuracy down to the
+    anchor.  Scalar calls, power gauges (whose chains are closed forms in
+    log(x - base)), one-level chains with an antiderivative, and anchors
+    at or below a keep per-t evaluators with a small cache, one scalar
+    eval per cell with x >= t.
     """
     if isinstance(g, (UnitGauge, ExponentialGauge)):
         lam = _ring_rate(g)
@@ -1208,9 +1387,21 @@ def chain_t_two_arg(
                     cache[t] = ev
             return ev.eval(x)
 
-        def many(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        def each(t: np.ndarray, x: np.ndarray) -> np.ndarray:
             return np.array([one(a, b) for a, b in zip(t.tolist(), x.tolist())],
                             dtype=float)
+
+        many = each
+        if _gauge_ring(g, m) is None and (
+                m - j >= 2 or (m - j == 1 and g.antideriv(m) is None)):
+            iv = g.interval
+
+            def many(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+                inner = (t >= iv.a) if iv.left_closed else (t > iv.a)
+                out = np.empty(t.shape)
+                out[~inner] = each(t[~inner], x[~inner])
+                out[inner] = _swept_chain(g, j, m, t[inner], x[inner], quad)
+                return out
 
     def family(t, x):
         if isinstance(t, (float, int)) and isinstance(x, (float, int)):
@@ -1223,3 +1414,39 @@ def chain_t_two_arg(
         return out
 
     return family
+
+
+def _swept_chain(g: GaugeSpec, j: int, m: int, t: np.ndarray, x: np.ndarray,
+                 quad: QuadConfig) -> np.ndarray:
+    """p_{t;j,m}(x) at cells with t <= x, from one PanelTransfer cover of
+    [min t, max x] with every distinct t and x as a break.
+
+    One leftward sweep R <- R T_k over the panels carries, for each x
+    passed, the row e_0 T(s, x) down to the break s: it is seeded with e_0
+    where s = x, and read in its last column where s is an anchor t.
+    """
+    ts, ti = np.unique(t, return_inverse=True)
+    xs, xi = np.unique(x, return_inverse=True)
+    if not len(xs) or not xs[-1] > ts[0]:
+        return np.zeros(t.shape)  # no cell, or x = t in every one
+    breaks = np.union1d(_panel_breaks(ts[0], xs[-1]), np.union1d(ts, xs))
+    cover = PanelTransfer(g, range(j, m + 1), breaks, quad)
+    at_t = np.searchsorted(cover.breaks, ts).tolist()
+    at_x = np.searchsorted(cover.breaks, xs).tolist()
+    rows = np.zeros((len(xs), m - j + 1))
+    out = np.zeros((len(ts), len(xs)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(at_x[-1], -1, -1):
+            while at_x and at_x[-1] == k:
+                at_x.pop()
+                rows[len(at_x), 0] = 1.0
+            while at_t and at_t[-1] == k:
+                at_t.pop()
+                out[len(at_t)] = rows[:, -1]
+            if not at_t:
+                break
+            rows = rows @ cover.mats[k - 1]
+        vals = g.values(j, xs)[xi] * out[ti, xi]
+    if np.isnan(vals).any():
+        raise QuadratureError("inf * 0 in a transfer product: float range breakdown")
+    return vals

@@ -319,6 +319,83 @@ class TestClosedVsTableProperty:
         assert got == pytest.approx(exact, rel=1e-8)
 
 
+class TestTransferSweep:
+    """Chains composed from per-panel transfer matrices: the batched table
+    route of chain_t_two_arg and the probe's window sweeps."""
+
+    LAMS61 = [0.0, 0.0, 0.0, -1.0, 2.0, 1.0]
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    @pytest.mark.parametrize("d", [1e-4, 1e-3])
+    def test_batched_table_route_near_anchor(self, t, d):
+        # p_{t;0,5}(x) is (x - t)^5/120 * prod w_l(t) to first order; its
+        # next term is (x - t)/3 relative on these gauges.
+        fam = chain_t_two_arg(table_clone(self.LAMS61), 0, 5)
+        got = fam(np.array([t]), np.array([t + d]))[0]
+        lead = d**5 / 120.0 * math.prod(math.exp(l * t) for l in self.LAMS61)
+        assert got > 0.0
+        assert got == pytest.approx(lead, rel=1e-3)
+
+    @given(st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_sweep_matches_closed_form(self, data):
+        draw = data.draw
+        m = draw(st.integers(1, 4))
+        j = draw(st.integers(0, m - 1))
+        lams = [draw(LAMBDA) for _ in range(m + 1)]
+        ts = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5))
+        ds = draw(st.lists(st.floats(0.0, 6.0), min_size=len(ts), max_size=len(ts)))
+        ts, xs = np.array(ts), np.array(ts) + np.array(ds)
+        got = chain_t_two_arg(table_clone(lams), j, m)(ts, xs)
+        g = ExponentialGauge(R, lams)
+        for t, x, v in zip(ts.tolist(), xs.tolist(), got.tolist()):
+            he = chain_t_handle(g, t, j, m)
+            want = he.eval(x)
+            tol = 1e-10 * (1.0 + abs(want))
+            if closed_form_within(he, x, tol):
+                assert abs(v - want) <= tol, (lams, j, m, t, x, v, want)
+
+    def test_probe_tables_match_the_criterion(self):
+        # Exponents from a grid of halves: a suffix sum is 0 (the slow
+        # boundary of the dichotomy) or at least 0.5 away from it.
+        rng = np.random.default_rng(12)
+        for make, count in [(lambda lams: ExponentialGauge(R, lams), 60),
+                            (lambda lams: PowerGauge(Interval(1.0, 3.0), 1.0, lams), 30)]:
+            for _ in range(count):
+                lams = [float(v) for v in rng.choice([-1.0, -0.5, 0.5, 1.0, 1.5], size=4)]
+                fs = finiteness_set(make(lams), 3, force_probe=True)
+                for mm in range(4):
+                    for jj in range(mm):
+                        sums = [math.fsum(lams[i + 1:mm + 1]) for i in range(jj, mm)]
+                        if all(abs(v) >= 0.5 for v in sums):
+                            assert fs.contains(jj, mm) == wpoly._exp_criterion(
+                                lambda l: lams[l], jj, mm), (lams, jj, mm)
+
+    @pytest.mark.parametrize("lam3", [-0.7, -1.5])
+    def test_probe_pair_outlives_a_breakdown_of_other_levels(self, lam3):
+        # p_(a;0,1) under lam_1 = 0.01 settles only at window 7 (x near
+        # -1024), where w_3 = exp(lam3 x) has left float range: the pair
+        # goes on with its own levels instead of being inconclusive.
+        g = ExponentialGauge(R, [0.0, 0.01, 1.0, lam3])
+        assert finiteness_set(g, 3, force_probe=True).table == finiteness_set(g, 3).table
+
+    def test_probe_builds_each_window_once(self, monkeypatch):
+        builds = []
+        init = wpoly.PanelChain.__init__
+
+        def counting(chain, *args, **kwargs):
+            init(chain, *args, **kwargs)
+            builds.append((type(chain).__name__, chain.lo, chain.hi))
+
+        monkeypatch.setattr(wpoly.PanelChain, "__init__", counting)
+        for lams in ([0.5, 1.0, -0.5, 1.5, 1.0, 0.5], self.LAMS61):
+            builds.clear()
+            fs = finiteness_set(ExponentialGauge(R, lams), 5, force_probe=True)
+            assert fs.method == "probe"
+            assert builds and all(kind == "PanelTransfer" for kind, _, _ in builds)
+            assert len(set(builds)) == len(builds), builds
+
+
 class TestPowerGaugeClosedForm:
     """Power gauges are exponential gauges in u = log(x - base): one ring
     holds their chains, logarithmic terms (some lam_j = 0) included."""
@@ -507,6 +584,16 @@ class TestFiniteOpenLeftEndpoint:
         h = chain_t_handle(g, 0.0, 0, 1)  # each query grows the cover
         assert [h.eval(x) for x in xs] == pytest.approx(
             [math.expm1(x) for x in xs], rel=1e-12)
+
+    def test_cover_reuse_keeps_relative_accuracy(self):
+        # After a query at 500 the cover's top panel spans x from about 67
+        # to 501, and e^450 is far below that panel's largest value: the
+        # handle rebuilds for 450 instead of reading it off that panel
+        # (which was 7.8e-7 off relative).
+        g = TableGauge(Interval(0.0, math.inf), [lambda x: 1.0, math.exp])
+        h = chain_t_handle(g, 0.0, 0, 1)
+        for x in (500.0, 450.0, 300.0, 500.0, 450.0):
+            assert h.eval(x) == pytest.approx(math.expm1(x), rel=1e-12), x
 
     def test_float_range_breakdown_is_inconclusive(self):
         # w_1 = x^-40 overflows below x = e^-17.7, short of every cut that
