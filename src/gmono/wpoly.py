@@ -23,16 +23,16 @@ multiplied by the next gauge, level by level.  The route is picked once
 per chain: exact term arithmetic when the start has a closed form, then a
 single-level antiderivative shortcut for table gauges that provide one,
 then the divergence probe for chains anchored at a, and otherwise the
-numeric chain integrator ``PanelChain`` (composite Clenshaw-Curtis panels
-summed outward from the anchor).  Where one chain is wanted at many
-anchors (the probe's windows, the batched two-argument family), per-panel
-transfer matrices (``PanelTransfer``) are composed instead, by Chen's
-identity for iterated integrals.  A chain anchored at a finite open a runs
-in u = log(x - a) under the paper's change of scale x = a + e^u, which
-sends a to u = -inf: one probe serves both kinds of left endpoint, and
-the chain is cut in that probe's windows.  The numeric route is
-deliberately independent of the closed forms so the two can be
-cross-checked.
+one numeric chain integrator ``PanelChain``: composite Clenshaw-Curtis
+panels, each giving the transfer matrix of its levels, composed by Chen's
+identity for iterated integrals.  The same matrices serve a chain
+anchored at one point (walked outward from it), the probe's windows and
+the batched two-argument family (swept across many anchors).  A chain
+anchored at a finite open a runs in u = log(x - a) under the paper's
+change of scale x = a + e^u, which sends a to u = -inf: one probe serves
+both kinds of left endpoint, and the chain is cut in that probe's
+windows.  The numeric route is deliberately independent of the closed
+forms so the two can be cross-checked.
 
 The closed forms live in one ring, sums of c * u^d * exp(r*u), with u = x
 for unit/exponential gauges and u = log(x - base) for power gauges: there
@@ -293,19 +293,37 @@ def _at_probes(n: int) -> np.ndarray:
 
 
 class PanelChain:
-    """Composite Clenshaw-Curtis chain integrator anchored at a break point.
+    """Composite Clenshaw-Curtis chain integrator: the transfer matrices of
+    levels j..m over panels, and the chain anchored at a break composed
+    from them.
 
-    Level by level, the chain values at every panel's Chebyshev nodes are
-    integrated from each panel's left edge by one product with the cached
-    cumulative-integration matrix of the order, and the panel integrals
-    are summed outward from the anchor by cumulative sums: rightward for
-    panels right of it, leftward and negated for panels left of it.  The
-    running integral is therefore exactly zero at the anchor, and a value
-    near the anchor is built only from the panels between the two, never
-    as the difference of two long sums from a distant edge.  For the
-    left-anchored chains of the divergence probe (anchor = lo) the
-    integrands are positive, so the sums carry no cancellation and values
-    stay relatively accurate many orders of magnitude below their maximum.
+    T(t, x) is the unit upper-triangular matrix whose entry [r][c] is the
+    ordered iterated integral of w_{j+r+1} ... w_{j+c} over
+    t <= y_c <= ... <= y_{r+1} <= x (signed where x < t), so that
+    p_{t;j,m}(x) = w_j(x) T(t, x)[0][m - j].  Chen's identity for iterated
+    integrals, T(t, x) = T(s, x) T(t, s), makes the matrix between any two
+    breaks the product of the panel matrices ``mats[k]``: T(b_k, b_{k+1})
+    for a panel right of the anchor, T(b_{k+1}, b_k) for one left of it.
+    Positive gauges make the first kind's entries nonnegative and give the
+    second kind's the sign (-1)^(c - r), so products of either kind never
+    cancel and keep relative accuracy however small the values are.
+
+    Row r of T(e, y), from the panel's edge e nearer the anchor, is e_r plus
+    the integral from e of w_{j+r+1} times row r + 1, so each gauge level is
+    evaluated once per order, at every panel's Chebyshev nodes;
+    ``start_values``, when given, stands in for the top level's gauge (the
+    start p_{a;k,j} of a second chain).  A panel passes when the entries of
+    its matrix at orders 32 and 48 agree to the tolerance; panels are
+    independent, so only failing ones are bisected and run again.
+
+    The anchored chain walks outward from the anchor, carrying the column
+    T(t, e)[:, m - j]: on each panel its values at the nodes are row 0 of
+    T(e, node) times that column.  Before the first evaluation those values
+    at orders 32 and 48 must also agree, at 9 probes and to the tolerance of
+    the panel's largest value; a panel that fails is bisected and the cover
+    built again.  The chain is exactly zero at the anchor, and a value near
+    it is built only from the panels between the two.  The bottom level's
+    gauge w_j never enters the matrices: ``eval`` applies it.
     """
 
     def __init__(
@@ -313,83 +331,119 @@ class PanelChain:
         gauges: GaugeSpec,
         levels: Sequence[int],
         breaks: np.ndarray,
-        start_values: Callable[[np.ndarray], np.ndarray],
+        start_values: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         quad: QuadConfig = DEFAULT_QUAD,
-        defer_final: bool = False,
         anchor: Optional[float] = None,
     ):
         if len(breaks) < 2:
             raise DomainError("need at least one panel")
         self.gauges = gauges
         self.levels = list(levels)
-        self.breaks = np.asarray(breaks, dtype=float)
-        self.lo = float(self.breaks[0])
-        self.hi = float(self.breaks[-1])
+        breaks = np.asarray(breaks, dtype=float)
+        self.lo = float(breaks[0])
+        self.hi = float(breaks[-1])
         self.anchor = self.lo if anchor is None else float(anchor)
         if not self.lo <= self.anchor <= self.hi:
             raise DomainError("anchor outside working interval")
-        if self.anchor not in self.breaks:
-            self.breaks = np.insert(
-                self.breaks, np.searchsorted(self.breaks, self.anchor), self.anchor
-            )
+        if self.anchor not in breaks:
+            breaks = np.insert(breaks, np.searchsorted(breaks, self.anchor),
+                               self.anchor)
         self.start_values = start_values
         self.quad = quad
-        # With defer_final the last gauge factor is applied at query time
-        # only; the stored panels hold the final integral, which stays in
-        # float range even when the outermost gauge overflows deep inside
-        # the working interval.
-        self.final_gauge = self.levels[-1] if defer_final and self.levels else None
-        self._build()
+        self._coeffs = None  # the anchored chain per panel, composed on first eval
+        self._build(breaks)
 
-    def _run(self, breaks: np.ndarray, order: int):
-        width = (breaks[1:] - breaks[:-1])[:, None]
-        xs = breaks[:-1, None] + (_cheb_nodes(order) + 1.0) * width / 2.0
-        flat = xs.ravel()
-        first_right = int(np.searchsorted(breaks, self.anchor))
-        vals = np.asarray(self.start_values(flat), dtype=float).reshape(xs.shape)
+    def _ends(self, a: np.ndarray, b: np.ndarray, back: int, order: int):
+        """For panels [a_k, b_k], the first ``back`` of them left of the
+        anchor: T(e_k, f_k) from the edge e_k nearer the anchor to the far
+        one f_k, and row 0 of T(e_k, node) at the order's nodes."""
+        half = ((b - a) / 2.0)[:, None, None]
+        xs = a[:, None] + (_cheb_nodes(order) + 1.0) * half[:, 0]
         q_t = _cheb_cumulative(order).T
+        q_back = -q_t[::-1, ::-1]  # integrals from the right edge
+        size = len(self.levels)
+        row = np.zeros((len(a), size, order + 1))  # row r of T(e_k, node)
+        row[:, -1] = 1.0
+        ends = np.empty((len(a), size, size))
+        ends[:, -1] = row[..., -1]
+        for r in range(size - 2, -1, -1):
+            if r == size - 2 and self.start_values is not None:
+                w = np.asarray(self.start_values(xs.ravel()), dtype=float)
+            else:
+                w = self.gauges.values(self.levels[r + 1], xs.ravel())
+            w = w.reshape(xs.shape)
+            zero = w == 0.0
+            if zero.any() and np.any(zero[:, None, :] & (np.abs(row) > 1e250)):
+                raise QuadratureError(
+                    "gauge underflow against a huge integral: float range breakdown"
+                )
+            row *= w[:, None, :]
+            nxt = np.empty_like(row)  # one product per direction, into one array
+            np.matmul(row[:back], q_back, out=nxt[:back])
+            np.matmul(row[back:], q_t, out=nxt[back:])
+            row = nxt
+            row *= half
+            row[:, r] += 1.0
+            ends[:back, r] = row[:back, :, 0]
+            ends[back:, r] = row[back:, :, -1]
+        return ends, row
 
-        for lvl in self.levels:
-            # Integral of each panel's interpolant from its left edge to
-            # each node; the last node gives the whole panel.
-            cum = vals @ q_t
-            cum *= width / 2.0
-            whole = cum[:, -1]
-            right = np.cumsum(whole[first_right:-1])
-            left = np.cumsum(whole[:first_right][::-1])[::-1]
-            cum[first_right + 1:] += right[:, None]
-            cum[:first_right] -= left[:, None]
-            vals = cum
-            if lvl != self.final_gauge:  # else the factor is deferred to eval()
-                w = self.gauges.values(lvl, flat).reshape(xs.shape)
-                if np.any((w == 0.0) & (np.abs(cum) > 1e250)):
-                    raise QuadratureError(
-                        "gauge underflow against a huge integral: float "
-                        "range breakdown"
-                    )
-                vals *= w
-        return _cheb_coeffs(vals)
-
-    def _build(self):
-        # Bisect panels that fail their own two-resolution agreement test;
-        # steep gauge factors (large within-panel dynamic range) force
-        # narrow panels locally, which a higher order alone cannot fix.
-        breaks = self.breaks
+    def _build(self, breaks: np.ndarray) -> None:
+        a, b = breaks[:-1], breaks[1:]
+        done = []  # (left edges, matrices, rows at orders 32 and 48) that passed
         for _ in range(9):
-            lowres = self._run(breaks, 32)
-            hires = self._run(breaks, 48)
-            cv = hires @ _at_probes(48)
-            err = np.max(np.abs(lowres @ _at_probes(32) - cv), axis=1)
-            bad = np.flatnonzero(~(err <= _tolerance(self.quad, np.max(np.abs(cv), axis=1))))
-            if not len(bad):
-                self.breaks = breaks
-                self._coeffs = hires
-                self._scale = np.max(np.abs(cv), axis=1)
+            order = np.argsort(a)  # the panels left of the anchor first
+            a, b = a[order], b[order]
+            back = int(np.searchsorted(a, self.anchor))
+            low, low_row = self._ends(a, b, back, 32)
+            high, high_row = self._ends(a, b, back, 48)
+            ok = np.all(np.abs(low - high) <= _tolerance(self.quad, np.abs(high)),
+                        axis=(1, 2))
+            keep = slice(None) if ok.all() else ok  # no copy when every panel passed
+            done.append((a[keep], high[keep], low_row[keep], high_row[keep]))
+            a, b = a[~ok], b[~ok]
+            count = sum(len(d[0]) for d in done) + len(a)
+            if not len(a):
+                if len(done) > 1:  # merge the rounds' panels in order
+                    parts = [np.concatenate(d) for d in zip(*done)]
+                    order = np.argsort(parts[0])
+                    done = [[p[order] for p in parts]]
+                los, self.mats, *rows = done[0]
+                self.breaks = np.append(los, self.hi)
+                self._rows = tuple(rows)
                 return
-            if len(breaks) > 1024:
+            if count > 1024:
                 break
-            breaks = np.insert(breaks, bad + 1, 0.5 * (breaks[bad] + breaks[bad + 1]))
-        self._no_convergence(len(breaks) - 1)
+            mid = 0.5 * (a + b)
+            a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        self._no_convergence(count)
+
+    def _compose(self) -> None:
+        """The anchored chain's Chebyshev coefficients and largest value on
+        each panel, after the two orders' agreement test at the probes."""
+        size = len(self.levels)
+        for _ in range(9):
+            cols = np.empty((len(self.mats), size))  # T(t, e_k)[:, m - j]
+            at = int(np.searchsorted(self.breaks, self.anchor))
+            for ks in (range(at, len(self.mats)), range(at - 1, -1, -1)):  # outward
+                col = np.eye(size)[-1]
+                for k in ks:
+                    cols[k] = col
+                    col = self.mats[k] @ col
+            low, high = (_cheb_coeffs(np.einsum("kc,kcn->kn", cols, rows))
+                         for rows in self._rows)
+            cv = high @ _at_probes(48)
+            scale = np.max(np.abs(cv), axis=1)
+            err = np.max(np.abs(low @ _at_probes(32) - cv), axis=1)
+            bad = np.flatnonzero(~(err <= _tolerance(self.quad, scale)))
+            if not len(bad):
+                self._coeffs, self._scale = high, scale
+                return
+            if len(self.breaks) > 1024:
+                break
+            b = self.breaks
+            self._build(np.insert(b, bad + 1, 0.5 * (b[bad] + b[bad + 1])))
+        self._no_convergence(len(self.breaks) - 1)
 
     def _no_convergence(self, panels: int):
         raise QuadratureError(
@@ -406,97 +460,28 @@ class PanelChain:
         agreement test scales its tolerance, is within _SCALE_FIT of the
         value at x: where it is not, that value may have lost its
         relative accuracy."""
-        return self._scale[self._panel_of(x)] <= _SCALE_FIT * abs(self.eval(x, 1.0))
+        v = abs(self.eval(x, 1.0))
+        return self._scale[self._panel_of(x)] <= _SCALE_FIT * v
 
     def eval(self, x: float, final: Optional[float] = None) -> float:
-        """Value at x; ``final``, when given, is the deferred gauge factor."""
+        """Value at x; ``final``, when given, stands in for the bottom
+        level's gauge factor w_j(x)."""
         if not self.lo <= x <= self.hi:
             raise DomainError("query outside working interval")
-        if x == self.anchor and self.levels:
+        if x == self.anchor and len(self.levels) > 1:
             return 0.0  # the integral from the anchor to itself
+        if self._coeffs is None:
+            self._compose()
         p = self._panel_of(x)
         a, b = self.breaks[p], self.breaks[p + 1]
         u = 2.0 * (x - a) / (b - a) - 1.0
         v = float(np.polynomial.chebyshev.chebval(u, self._coeffs[p]))
-        if self.final_gauge is not None:
-            v *= self.gauges.value(self.final_gauge, x) if final is None else final
-        return v
+        return v * (self.gauges.value(self.levels[0], x) if final is None else final)
 
 
 def _tolerance(quad: QuadConfig, scale):
     """The two-order agreement test's tolerance for values of size scale."""
     return quad.abs_tol + quad.rel_tol * (1e-30 + scale)
-
-
-class PanelTransfer(PanelChain):
-    """The transfer matrices of levels j..m over panels, one per panel.
-
-    T(t, x) is the unit upper-triangular matrix whose entry [r][c] is the
-    ordered iterated integral of w_{j+r+1} ... w_{j+c} over
-    t <= y_c <= ... <= y_{r+1} <= x, so that p_{t;j,m}(x) =
-    w_j(x) T(t, x)[0][m - j].  Chen's identity for iterated integrals,
-    T(t, x) = T(s, x) T(t, s) for t <= s <= x, makes the matrix between
-    any two breaks the product of the panel matrices ``mats[k]`` =
-    T(b_k, b_{k+1}) between them.  Positive gauges give nonnegative
-    entries, so those products never cancel and keep relative accuracy
-    however small the values are.
-
-    Row r of T(b_k, y) is e_r plus the integral from b_k of w_{j+r+1}
-    times row r + 1, so each gauge level is evaluated once per order, at
-    every panel's Chebyshev nodes.  A panel passes when the entries of its
-    matrix at orders 32 and 48 agree to PanelChain's tolerance; panels are
-    independent, so only failing ones are bisected and run again.
-    """
-
-    def __init__(self, gauges: GaugeSpec, levels: Sequence[int], breaks: np.ndarray,
-                 quad: QuadConfig = DEFAULT_QUAD):
-        super().__init__(gauges, levels, breaks, start_values=None, quad=quad)
-
-    def _ends(self, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-        """T(a_k, b_k) for panels [a_k, b_k], at one order."""
-        half = ((b - a) / 2.0)[:, None, None]
-        xs = a[:, None] + (_cheb_nodes(order) + 1.0) * half[:, 0]
-        q_t = _cheb_cumulative(order).T
-        size = len(self.levels)
-        row = np.zeros((len(a), size, order + 1))  # row r of T(a_k, node)
-        row[:, -1] = 1.0
-        ends = np.empty((len(a), size, size))
-        ends[:, -1] = row[..., -1]
-        for r in range(size - 2, -1, -1):
-            w = self.gauges.values(self.levels[r + 1], xs.ravel()).reshape(xs.shape)
-            if np.any((w == 0.0)[:, None, :] & (row > 1e250)):
-                raise QuadratureError(
-                    "gauge underflow against a huge integral: float range breakdown"
-                )
-            row = (row * w[:, None, :]) @ q_t
-            row *= half
-            row[:, r] += 1.0
-            ends[:, r] = row[..., -1]
-        return ends
-
-    def _build(self):
-        a, b = self.breaks[:-1], self.breaks[1:]
-        done_a, done_m = [], []
-        for _ in range(9):
-            low = self._ends(a, b, 32)
-            high = self._ends(a, b, 48)
-            ok = np.all(np.abs(low - high) <= _tolerance(self.quad, np.abs(high)),
-                        axis=(1, 2))
-            done_a.append(a[ok])
-            done_m.append(high[ok])
-            a, b = a[~ok], b[~ok]
-            count = sum(len(d) for d in done_a) + len(a)
-            if not len(a):
-                los = np.concatenate(done_a)
-                order = np.argsort(los)
-                self.breaks = np.append(los[order], self.hi)
-                self.mats = np.concatenate(done_m)[order]
-                return
-            if count > 1024:
-                break
-            mid = 0.5 * (a + b)
-            a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-        self._no_convergence(count)
 
 
 def _panel_breaks(lo: float, hi: float) -> np.ndarray:
@@ -562,20 +547,6 @@ def _left_frame(g: GaugeSpec, n: int) -> _LeftFrame:
         transport_gauges(g, psi, n_entries=n + 1), math.log(x0 - a), floor)
 
 
-def _left_chain(
-    g: GaugeSpec, j: int, m: int, lo: float, hi: float, quad: QuadConfig
-) -> PanelChain:
-    """p_{lo;j,m} on [lo, hi] in a left frame's gauges, last factor deferred."""
-    return PanelChain(
-        g,
-        levels=range(m - 1, j - 1, -1),
-        breaks=_panel_breaks(lo, hi),
-        start_values=lambda xs: g.values(m, xs),
-        quad=quad,
-        defer_final=True,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Chain evaluator
 # ---------------------------------------------------------------------------
@@ -637,8 +608,6 @@ class _Descent:
                 self._left = (frame, depth)
 
     def _start_values(self, xs: np.ndarray) -> np.ndarray:
-        if isinstance(self.start, int):
-            return self.g.values(self.start, xs)
         return np.array([self.start.eval(float(u)) for u in xs])
 
     def _chain_for(self, x: float) -> PanelChain:
@@ -685,13 +654,14 @@ class _Descent:
                 hi = min(max(hi, 2.0 * old.hi - ref), iv.b)
             elif x < old.lo and not left:  # a left truncation deepens with x
                 lo = max(min(lo, 2.0 * old.lo - ref), iv.a)
+        levels = range(self.levels[-1], self.levels[0] + 2)  # bottom to top
         if left:
             # The deepest cut at which every gauge stays in float range (one
             # may overflow near a) and that still leaves a negligible tail.
             for cut in [lo] + [c for c in cuts[1:] if c > lo]:
                 try:
-                    self._panel = _left_chain(g, self.levels[-1], self.start,
-                                              cut, hi, self.quad)
+                    self._panel = PanelChain(g, levels, _panel_breaks(cut, hi),
+                                             quad=self.quad)
                     return self._panel
                 except _FLOAT_RANGE as exc:
                     err = exc
@@ -699,11 +669,13 @@ class _Descent:
                 f"no cut from {lo} to {cut} keeps the gauges in float range"
             ) from err
         elif lo < hi:
+            # A second chain's top level is its start, p_{a;k,j}.
+            start = None if isinstance(self.start, int) else self._start_values
             self._panel = PanelChain(
                 g,
-                levels=self.levels,
+                levels=levels,
                 breaks=_panel_breaks(lo, hi),
-                start_values=self._start_values,
+                start_values=start,
                 quad=self.quad,
                 anchor=ref,
             )
@@ -722,8 +694,9 @@ class _Descent:
                 return self.g.value(self.start, x)
             if self._left is None:
                 return self._chain_for(x).eval(x)
-            # For a finite a, x = a + e^u, and the deferred gauge is w_j at x
-            # itself: the frame's w_j(a + e^u) e^u^[j >= 1] over (x - a)^[j >= 1].
+            # For a finite a, x = a + e^u, and the bottom level's factor is
+            # w_j at x itself: the frame's w_j(a + e^u) e^u^[j >= 1] over
+            # (x - a)^[j >= 1].
             u = x if math.isinf(self.anchor) else math.log(x - self.anchor)
             return self._chain_for(u).eval(u, self.g.value(self.levels[-1], x))
         if self._log_base is not None:
@@ -814,7 +787,7 @@ class _WindowSweep:
     anchors L_i = frame.anchor_at(i), built window by window.
 
     Window i's segment [L_i, L_{i-1}] (x0 in place of L_{-1}) is built
-    once, as a PanelTransfer on _panel_breaks of the segment, and
+    once, as a PanelChain on _panel_breaks of the segment, and
     T(L_i, x0) = T(L_{i-1}, x0) T(L_i, L_{i-1}); every pair (j, m) in
     lo..hi reads its truncations p_{L_i;j,m}(x0) = w_j(x0) T(L_i, x0)[j][m]
     from the same matrices.
@@ -860,8 +833,8 @@ class _WindowSweep:
         f, i = self.frame, len(self._at)
         top = f.x0 if i == 0 else f.anchor_at(i - 1)
         try:
-            mats = PanelTransfer(f.gauges, self.levels,
-                                 _panel_breaks(f.anchor_at(i), top), self.quad).mats
+            mats = PanelChain(f.gauges, self.levels,
+                              _panel_breaks(f.anchor_at(i), top), quad=self.quad).mats
         except (*_FLOAT_RANGE, QuadratureError) as exc:
             self._broken = exc
             return
@@ -1255,6 +1228,8 @@ def _build_evaluator(g: GaugeSpec, family: tuple, quad: QuadConfig):
             )
         if i == k:
             return start
+        if k == j:  # p_{a;k,k} = w_k, so this is p_{z;i,k}
+            return _chain_t(g, z, i, k, quad)
         return _Descent(g, start, range(k - 1, i - 1, -1), z, quad)
     if tag == "interp":
         _, z, coeffs = family
@@ -1351,13 +1326,13 @@ def chain_t_two_arg(
     ExpPoly.eval_many.
 
     Gauges with no closed form and no one-level antiderivative take one
-    panel cover per array call, over [min t, max x] with every distinct t
-    and x as a break (``_swept_chain``): a leftward sweep through the panels'
-    transfer matrices gives every cell, with relative accuracy down to the
-    anchor.  Scalar calls, power gauges (whose chains are closed forms in
-    log(x - base)), one-level chains with an antiderivative, and anchors
-    at or below a keep per-t evaluators with a small cache, one scalar
-    eval per cell with x >= t.
+    PanelChain cover per array call, over [min t, max x] with every
+    distinct t and x as a break (``_swept_chain``): a leftward sweep
+    through the panels' transfer matrices gives every cell, with relative
+    accuracy down to the anchor.  Scalar calls, power gauges (whose chains
+    are closed forms in log(x - base)), one-level chains with an
+    antiderivative, and anchors at or below a keep per-t evaluators with a
+    small cache, one scalar eval per cell with x >= t.
     """
     if isinstance(g, (UnitGauge, ExponentialGauge)):
         lam = _ring_rate(g)
@@ -1418,7 +1393,7 @@ def chain_t_two_arg(
 
 def _swept_chain(g: GaugeSpec, j: int, m: int, t: np.ndarray, x: np.ndarray,
                  quad: QuadConfig) -> np.ndarray:
-    """p_{t;j,m}(x) at cells with t <= x, from one PanelTransfer cover of
+    """p_{t;j,m}(x) at cells with t <= x, from one PanelChain cover of
     [min t, max x] with every distinct t and x as a break.
 
     One leftward sweep R <- R T_k over the panels carries, for each x
@@ -1430,7 +1405,7 @@ def _swept_chain(g: GaugeSpec, j: int, m: int, t: np.ndarray, x: np.ndarray,
     if not len(xs) or not xs[-1] > ts[0]:
         return np.zeros(t.shape)  # no cell, or x = t in every one
     breaks = np.union1d(_panel_breaks(ts[0], xs[-1]), np.union1d(ts, xs))
-    cover = PanelTransfer(g, range(j, m + 1), breaks, quad)
+    cover = PanelChain(g, range(j, m + 1), breaks, quad=quad)
     at_t = np.searchsorted(cover.breaks, ts).tolist()
     at_x = np.searchsorted(cover.breaks, xs).tolist()
     rows = np.zeros((len(xs), m - j + 1))

@@ -57,8 +57,9 @@ class TestExitCodes:
         assert code == 1
 
     def test_table_gauge_self_dominance_is_zero(self, files, tmp_path):
-        # arctan_cheb has no closed-form chains: condition ii runs the
-        # interior-anchored panel route for p_(a,z;0:1:1).
+        # arctan_cheb has no closed-form chains: the divergence probe gives
+        # the finiteness set, and condition ii's p_(a,z;0:1:1) = p_(z;0,1)
+        # takes the table's antiderivative.
         gauges = tmp_path / "arctan.json"
         gauges.write_text(json.dumps({
             "interval": {"a": "-inf", "b": "inf"},

@@ -392,7 +392,7 @@ class TestTransferSweep:
             builds.clear()
             fs = finiteness_set(ExponentialGauge(R, lams), 5, force_probe=True)
             assert fs.method == "probe"
-            assert builds and all(kind == "PanelTransfer" for kind, _, _ in builds)
+            assert builds and all(kind == "PanelChain" for kind, _, _ in builds)
             assert len(set(builds)) == len(builds), builds
 
 
@@ -623,14 +623,33 @@ class TestPanelChain:
         # is w_0(x) * (atan x - atan t), negative left of t.
         g = arctan_cheb_gauges()
         for t in (0.3, -0.7, 1.234567):
-            pc = wpoly.PanelChain(
-                g, [0], wpoly._panel_breaks(t - 3.0, t + 2.0),
-                lambda xs: g.values(1, xs), anchor=t,
-            )
+            pc = wpoly.PanelChain(g, [0, 1], wpoly._panel_breaks(t - 3.0, t + 2.0),
+                                  anchor=t)
             assert pc.eval(t) == 0.0
             for x in (t - 2.5, t - 1e-3, t + 1e-3, t + 1.5):
                 want = (math.pi + math.atan(x)) * (math.atan(x) - math.atan(t))
                 assert pc.eval(x) == pytest.approx(want, rel=1e-10, abs=1e-15)
+
+    def test_backward_panels_invert_forward_ones(self):
+        # Left of the anchor each panel matrix is T(b_{k+1}, b_k), the
+        # inverse of the forward T(b_k, b_{k+1}), with entries of sign
+        # (-1)^(c - r), so that products of them do not cancel either.
+        lams = [0.5, -1.0, 1.0, 0.3]
+        g, t = table_clone(lams), 0.4
+        pc = wpoly.PanelChain(g, range(4), wpoly._panel_breaks(t - 3.0, t + 2.0),
+                              anchor=t)
+        at = int(np.searchsorted(pc.breaks, t))
+        fwd = wpoly.PanelChain(g, range(4), pc.breaks[:at + 1])
+        assert at >= 2 and np.array_equal(fwd.breaks, pc.breaks[:at + 1])
+        upper = np.triu(np.ones((4, 4), dtype=bool), 1)
+        sign = (-1.0) ** np.subtract.outer(np.arange(4), np.arange(4))
+        for back, ahead in zip(pc.mats[:at], fwd.mats):
+            assert np.all(back[upper] * sign[upper] > 0.0)
+            assert np.max(np.abs(back @ ahead - np.eye(4))) <= 1e-12
+        h = chain_t_handle(ExponentialGauge(R, lams), t, 0, 3)
+        for x in (t - 2.9, t - 1.0, t - 1e-3, t + 1e-3, t + 1.9):
+            want = h.eval(x)
+            assert abs(pc.eval(x) - want) <= 1e-10 * (1.0 + abs(want)), x
 
     def test_alternating_queries_grow_one_cover(self, monkeypatch):
         # Queries on alternating sides of the anchor grow the working
@@ -762,6 +781,27 @@ class TestChainAZ:
         g = PowerGauge(Interval(1.0, 5.0), 0.0, [1.0, 0.0, 2.0])
         h = chain_az_handle(g, 2.8, 0, 1, 1)
         assert h.eval(1.2) == pytest.approx(math.log(1.2 / 2.8), abs=1e-10)
+
+    def test_k_eq_j_is_the_first_chain_at_z(self, monkeypatch):
+        # p_{a;k,k} = w_k, so p_{a,z;i:k:k} = p_{z;i,k}: for the arctan pair
+        # that is the one-level antiderivative route, with no panel cover.
+        builds = []
+        init = wpoly.PanelChain.__init__
+
+        def counting(chain, *args, **kwargs):
+            builds.append(chain)
+            init(chain, *args, **kwargs)
+
+        monkeypatch.setattr(wpoly.PanelChain, "__init__", counting)
+        h = chain_az_handle(arctan_cheb_gauges(), 0.3, 0, 1, 1)
+        for x in (-1.7, 0.05, 2.4):
+            want = (math.pi + math.atan(x)) * (math.atan(x) - math.atan(0.3))
+            assert abs(h.eval(x) - want) <= 1e-15 * (1.0 + abs(want)), x
+        assert not builds
+        g = table_clone([0.5, -1.0, 1.0])
+        az, t = chain_az_handle(g, 0.7, 0, 2, 2), chain_t_handle(g, 0.7, 0, 2)
+        for x in (-1.0, 0.5, 2.0):
+            assert az.eval(x) == t.eval(x)
 
     def test_outside_finiteness_rejected(self):
         with pytest.raises(PreconditionError):
