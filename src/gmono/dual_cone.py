@@ -11,9 +11,12 @@ cone iff
 Condition (iii) is certified on a t-grid (atoms + quantiles + an
 arctan-uniform fill); for pure-atom measures under unit gauges the margin
 is piecewise polynomial in t and the check refines to exact per-piece
-minimization.  The worst piece is reported as one more (iii) row, labelled
-"(piece min)", on the grid rows' scale sum m (x - t)_+^n / n!.  Any failing
-condition yields a counterexample cone member.
+minimization (``_piece_min``): each piece's polynomial in local
+coordinates gives the candidates, the grid rows' chain family gives their
+values, and the candidate lowest on the scale rows are judged on is
+reported as one more (iii) row, labelled "(piece min)", on the grid rows'
+scale sum m (x - t)_+^n / n!.  Any failing condition yields a
+counterexample cone member.
 
 There is one checker for every gauge sequence.  Unit gauges (w_j = 1, power
 and partial moments) are one instance of it: on an interval iv, call
@@ -260,7 +263,7 @@ def check_dominance(
 
     certification = "grid"
     if pure_atoms and isinstance(g, UnitGauge):
-        extra = _exact_atom_refinement(nu1, nu2, n, iv)
+        extra = _piece_min((nu1, nu2), fam, n, iv)
         if extra is not None:
             t_bad, v1, v2 = extra
             row = _ordered_row("iii", f"t={t_bad:.17g} (piece min)", v1, v2, tol_eq)
@@ -306,19 +309,18 @@ def _signed_witness(h: WPolyHandle, gap: float, label: str):
 def _atoms_pm(nus: Sequence[MeasureRep], fam, ts: np.ndarray) -> list:
     """For each measure of nus, sum m p+_{t;0,n}(x) over its atoms at each
     t of ts, +inf where a term is not finite: one fam call over (t, atom)
-    for every measure's atoms, summed atom by atom per measure."""
+    for every measure's atoms, then one cumulative sum per measure, which
+    adds its atoms in order."""
     atoms = [[(x, m) for x, m in nu.atoms if m > 0] for nu in nus]
-    locs = [x for each in atoms for x, _ in each]
-    vals = fam(ts[:, None], np.array(locs)) if locs else None
+    vals = fam(ts[:, None], np.array([x for each in atoms for x, _ in each]))
     sums, col = [], 0
     with np.errstate(over="ignore", invalid="ignore"):
         for each in atoms:
-            acc = np.zeros(len(ts))
-            for _, m in each:
-                v = vals[:, col]
-                acc += np.where(np.isfinite(v), m * v, math.inf)
-                col += 1
-            sums.append(acc.tolist())
+            v = vals[:, col:col + len(each)]
+            terms = np.where(np.isfinite(v), v * [m for _, m in each], math.inf)
+            total = np.cumsum(np.c_[np.zeros(len(ts)), terms], axis=1)[:, -1]
+            sums.append(total.tolist())
+            col += len(each)
     return sums
 
 
@@ -338,86 +340,65 @@ def _inconclusive(s, z, t_grid, tol_eq) -> DominanceReport:
     )
 
 
-def _exact_atom_refinement(nu1, nu2, n, iv):
-    """Exact minimization of the piecewise-polynomial margin in t.
+def _piece_min(nus: Sequence[MeasureRep], fam, n: int, iv):
+    """The worst t of the pure-atom margin D(t) = nu1(p+) - nu2(p+) under
+    unit gauges, minimized exactly piece by piece: (t, v1, v2), or None
+    without atoms.
 
-    For pure-atom measures under unit gauges the (iii) margin restricted to
-    t between consecutive atoms is a degree-n polynomial; minimize each
-    piece (and the unbounded end pieces) exactly.  Returns the worst
-    (t, v1, v2), or None when there is no piece; v1 and v2 are
-    sum m (x - t)_+^n / n!, the p+_{t;0,n} moments of the grid rows.
+    On each piece (a, b] below a knot b (an atom; the first piece reaches
+    down to the interval's a, and a last one up to a finite b), D is a
+    degree-n polynomial in tau = t - b with coefficients
+    (-1)^r / r! M_(n-r), M_q = sum_(x >= b) +-m (x - b)^q / q!, all in
+    nonnegative powers of x - b.  Candidates are the piece's midpoint and
+    ends and the real roots of D' inside it.  An unbounded first piece
+    instead takes b - 4^j, j = 1..11, and the roots down to the deepest of
+    them, after dropping the orders whose M_q is rounding noise (which
+    would put spurious roots near t = -1e16).  Every candidate's (v1, v2)
+    comes from one _atoms_pm call, on the grid rows' scale, and the worst
+    is the lowest on the scale the rows are judged on, (v1 - v2) /
+    (1 + |v1|); the first of them on a tie.
     """
-    knots = sorted({x for x, m in (nu1.atoms + nu2.atoms) if m > 0})
-    if not knots:
+    signed = [(x, s * m) for s, nu in zip((1.0, -1.0), nus)
+              for x, m in nu.atoms if m > 0]
+    if not signed:
         return None
-    lo_edge = iv.a if math.isfinite(iv.a) else knots[0] - 1e3
-    hi_edge = iv.b if math.isfinite(iv.b) else knots[-1]
-    edges = [lo_edge] + knots + [hi_edge]
-    # Each atom's signed m (x - t)^n as coefficients of a polynomial in t.
-    rows = [
-        (x, np.array([sgn * m * math.comb(n, r) * x ** (n - r) * (-1.0) ** r
-                      for r in range(n + 1)]))
-        for x, m, sgn in [(x, m, +1) for x, m in nu1.atoms]
-        + [(x, m, -1) for x, m in nu2.atoms]
-        if m != 0
-    ]
-    P = np.polynomial.polynomial
-    worst = None
-    for a, b in zip(edges[:-1], edges[1:]):
-        if not a < b:
+    x, w = np.array(signed).T
+    tops = np.unique(x).tolist()
+    if math.isfinite(iv.b) and iv.b > tops[-1]:
+        tops.append(iv.b)
+    b = np.array(tops)[:, None]
+    on = x >= b
+    q = np.arange(n + 1)
+    fact = np.cumprod(np.r_[1.0, q[1:]])  # q! in floats
+    powers = np.where(on, x - b, 0.0)[..., None] ** q / fact
+    M = np.einsum("pa,paq->pq", on * w, powers)[:, ::-1]  # column r is M_(n-r)
+    noise = 1e-12 * np.einsum("pa,paq->pq", on * np.abs(w), powers)[:, ::-1]
+    slope = M[:, 1:] * (-1.0) ** q[1:] / fact[:-1]  # D', from tau^0 up
+    deep = 4.0 ** np.arange(1, 12)
+    cands = []
+    for p, (a, top) in enumerate(zip([iv.a] + tops[:-1], tops)):
+        if not a < top:
             continue
-        # margin(t) = sum_{atoms x >= b-} m (x - t)^n difference; on (a, b)
-        # the active set is {x >= b} plus possibly x == b itself.
-        coeffs = np.zeros(n + 1)
-        for x, row in rows:
-            if not x < b:
-                coeffs += row
-        unbounded_left = a == edges[0] and not math.isfinite(iv.a)
-        cands = [0.5 * (a + b), b]
         if math.isfinite(a):
-            cands.append(a)
-        if n >= 2:
-            for r in P.polyroots(P.polyder(coeffs)):
-                if abs(r.imag) < 1e-9 and r.real < b and (unbounded_left or r.real > a):
-                    cands.append(float(r.real))
-        if unbounded_left:
-            cands.extend(_left_tail_candidates(nu1, nu2, n, knots[0]))
-        for t, v in zip(cands, P.polyval(np.array(cands), coeffs).tolist()):
-            if worst is None or v < worst[0]:
-                worst = (v, t)
-    if worst is None:
+            cands += [0.5 * (a + top), top, a]
+            floor = a - top
+        else:
+            cands.append(top)
+            floor = -deep[-1]
+            slope[p, np.abs(M[p, 1:]) <= noise[p, 1:]] = 0.0
+        roots = np.polynomial.polynomial.polyroots(slope[p]) if n else slope[p]
+        real = roots.real[(abs(roots.imag) < 1e-9) & (roots.real > floor)
+                          & (roots.real < 0.0)]
+        cands += (top + real).tolist()
+        if not math.isfinite(a):
+            cands += (top - deep).tolist()
+    if not cands:
         return None
-    t = worst[1]
-
-    def moment(nu):
-        return math.fsum(
-            m * (x - t) ** n for x, m in nu.atoms if m > 0 and x >= t
-        ) / math.factorial(n)
-
-    return t, moment(nu1), moment(nu2)
-
-
-def _left_tail_candidates(nu1, nu2, n, first_knot: float) -> list:
-    """Candidate t values capturing the t -> -inf behavior of the margin.
-
-    Left of every atom the margin expands in raw-moment differences D_i
-    with weights (-t)^(n-i); the lowest non-vanishing D_i rules the tail.
-    When that coefficient is negative the margin eventually dips: return
-    deep candidates so the piece minimization catches it.
-    """
-    scale = 1.0 + sum(m * (1.0 + abs(x)) ** n for x, m in nu1.atoms + nu2.atoms)
-    D = []
-    for i in range(n + 1):
-        d = math.fsum(m * x**i for x, m in nu1.atoms) - math.fsum(
-            m * x**i for x, m in nu2.atoms
-        )
-        D.append(d)
-    for i, d in enumerate(D):
-        if abs(d) > 1e-12 * scale:
-            if d < 0:
-                return [first_knot - 4.0**j for j in range(1, 12)]
-            return []
-    return []
+    v1, v2 = _atoms_pm(nus, fam, np.array(cands))
+    a1, a2 = np.array(v1), np.array(v2)
+    with np.errstate(invalid="ignore"):  # inf / inf where both sides overflow
+        worst = int(np.nanargmin((a1 - a2) / (1.0 + np.abs(a1))))
+    return cands[worst], v1[worst], v2[worst]
 
 
 # ---------------------------------------------------------------------------

@@ -969,24 +969,17 @@ class FinitenessSet:
         return [m for m in range(k, self.n + 1) if self.contains(k, m)]
 
 
-def _exp_criterion(lam: Callable[[int], float], j: int, m: int) -> bool:
-    # Every suffix sum lam_{i+1} + ... + lam_m, i in [j, m-1], must be > 0.
-    for i in range(j, m):
-        if math.fsum(lam(s) for s in range(i + 1, m + 1)) <= 0.0:
-            return False
-    return True
-
-
 def finiteness_set(
     g: GaugeSpec, n: int, quad: QuadConfig = DEFAULT_QUAD, force_probe: bool = False
 ) -> FinitenessSet:
     """Finiteness pattern of p_{a;j,m} for 0 <= j <= m <= n.
 
-    Analytic criteria cover the unit/exponential/power families (suffix
-    sums of the exponent parameters); a belonging to I, or lying finite
-    below every gauge singularity, makes everything finite; otherwise probe
-    integration decides.  ``force_probe`` bypasses the analytic shortcuts
-    so the two routes can be compared.
+    With a in I every entry is finite.  For the unit/exponential/power
+    families the pattern is the chains' own closed-form descent from a
+    (``_descend``, where a rate within 1e-12 of 0 counts as 0), so an entry
+    is finite exactly when that chain's handle is; otherwise probe
+    integration decides.  ``force_probe`` bypasses the analytic routes so
+    the two can be compared.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
@@ -1005,18 +998,16 @@ def finiteness_set(
     if not force_probe:
         if iv.left_closed:
             return fill(lambda j, m: True, "a in I")
-        if isinstance(g, UnitGauge):
-            if math.isinf(iv.a):
-                return fill(lambda j, m: j == m, "analytic")
-            return fill(lambda j, m: True, "analytic")
-        if isinstance(g, ExponentialGauge):
-            if math.isfinite(iv.a):
-                return fill(lambda j, m: True, "analytic")
-            return fill(lambda j, m: _exp_criterion(g.lam, j, m), "analytic")
-        if isinstance(g, PowerGauge):
-            if iv.a > g.base:
-                return fill(lambda j, m: True, "analytic")
-            return fill(lambda j, m: _exp_criterion(g.lam, j, m), "analytic")
+        if _gauge_ring(g, 0) is not None:
+            # The chains' own descent from a, one level at a time: once
+            # p_{a;j,m} diverges, so does every p_{a;i,m} with i < j.
+            for m in range(n + 1):
+                ring = _gauge_ring(g, m)
+                for j in range(m, -1, -1):
+                    if j < m and ring is not None:
+                        ring = _descend(ring, g, [j], iv.a)
+                    put(j, m, ring is not None)
+            return FinitenessSet(g, n, _freeze(table), "analytic")
 
     # Levels 0..n must exist (a short TableGauge raises GaugeError here), so
     # that the probe's GaugeError can only mean a range breakdown.

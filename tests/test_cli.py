@@ -56,6 +56,20 @@ class TestExitCodes:
         ])
         assert code == 1
 
+    def test_cancelling_exponents_decide(self, files, tmp_path):
+        # -0.3 + 0.1 + 0.2 is 2.8e-17 in floats: the finiteness row must
+        # agree with the chains, which count that rate as 0.
+        gauges = tmp_path / "cancel.json"
+        gauges.write_text(json.dumps({
+            "interval": {"a": "-inf", "b": "inf"}, "kind": "exponential",
+            "params": [0, 0, -0.3, 0.1, 0.2],
+        }))
+        code = main([
+            "dominate", "--nu1", files["nu1"], "--nu2", files["nu2"],
+            "--gauges", str(gauges), "--k", "1", "--n", "4",
+        ])
+        assert code in (0, 1)
+
     def test_table_gauge_self_dominance_is_zero(self, files, tmp_path):
         # arctan_cheb has no closed-form chains: the divergence probe gives
         # the finiteness set, and condition ii's p_(a,z;0:1:1) = p_(z;0,1)

@@ -1,6 +1,7 @@
 """Dual-cone dominance conditions with brute-force oracle cross-checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from gmono.measures import (
     partial_moment,
 )
 from gmono.dual_cone import (
-    _exact_atom_refinement,
-    _left_tail_candidates,
+    _atoms_pm,
+    _piece_min,
     check_dominance,
     default_t_grid,
     oracle_equivalence,
@@ -177,6 +178,33 @@ class TestExactAtomRefinement:
             nu1, nu2, ConeSpec(GU, 1, 1), s=0.0, z=0.0, t_grid=[0.0, 0.25, 1.0]
         )
         assert rep.verdict == "fails"
+
+    @pytest.mark.parametrize("n", [40, 60])
+    def test_high_order(self, n):
+        # n! exceeds int64 and (x - t)^n float range at the deepest points.
+        nu1 = MeasureRep(R, atoms=[(0.0, 1.0)])
+        nu2 = MeasureRep(R, atoms=[(0.5, 1.0)])
+        rep = check_dominance(nu1, nu2, ConeSpec(GU, 1, n))
+        row = rep.cond_iii[-1]
+        assert rep.verdict == "fails" and "(piece min)" in row.label
+        t = float(row.label[2:].split()[0])
+        for v, nu in ((row.v1, nu1), (row.v2, nu2)):
+            assert _close(v, _unit_pm(nu, t, n), 1e-12), (v, t)
+
+    def test_dip_below_the_grid_detected(self):
+        # Equal masses and means, nu1 has the smaller E X^2: the margin is
+        # negative for every t < -12.11, below the default grid's lowest t.
+        nu1 = MeasureRep(R, atoms=[(-0.79, 1.25 / 2.04), (1.25, 0.79 / 2.04)])
+        nu2 = MeasureRep(R, atoms=[(-1.0, 0.5), (1.0, 0.5)])
+        rep = check_dominance(nu1, nu2, ConeSpec(GU, 1, 3))
+        assert rep.verdict == "fails"
+        row = next(r for r in rep.cond_iii if not r.satisfied)
+        assert "(piece min)" in row.label
+        t = float(row.label[2:].split()[0])
+        assert t < -12.11 and f"t={t:.6g}" in rep.witness_desc
+        assert _exact_margin(nu1, nu2, t, 3) < 0
+        for v, nu in ((row.v1, nu1), (row.v2, nu2)):
+            assert _close(v, _unit_pm(nu, t, 3), 1e-12), (v, t)
 
 
 def _close(v: float, ref: float, tol: float) -> bool:
@@ -466,8 +494,9 @@ class TestOracleAgainstPerAtomReference:
 
 
 def reference_refinement(nu1, nu2, n, iv):
-    """_exact_atom_refinement as it was with one coefficient loop per piece
-    and numpy Polynomial objects: the arithmetic the batched rows keep."""
+    """The unit-gauge piece minimization before the local-coordinate one:
+    monomial coefficients per piece, a raw-moment tail rule, the worst
+    candidate by raw value, and its rows summed with math.fsum."""
     knots = sorted({x for x, m in (nu1.atoms + nu2.atoms) if m > 0})
     if not knots:
         return None
@@ -500,7 +529,7 @@ def reference_refinement(nu1, nu2, n, iv):
                 if abs(r.imag) < 1e-9 and r.real < b and (unbounded_left or r.real > a):
                     cands.append(float(r.real))
         if unbounded_left:
-            cands.extend(_left_tail_candidates(nu1, nu2, n, knots[0]))
+            cands.extend(reference_left_tail(nu1, nu2, n, knots[0]))
         for t in cands:
             v = float(poly(t))
             if worst is None or v < worst[0]:
@@ -517,7 +546,38 @@ def reference_refinement(nu1, nu2, n, iv):
     return t, moment(nu1), moment(nu2)
 
 
-def test_refinement_is_bit_identical_to_reference():
+def reference_left_tail(nu1, nu2, n, first_knot: float) -> list:
+    """Deep candidates when the lowest raw-moment difference that is not
+    rounding noise is negative, so the margin dips as t -> -inf."""
+    scale = 1.0 + sum(m * (1.0 + abs(x)) ** n for x, m in nu1.atoms + nu2.atoms)
+    for i in range(n + 1):
+        d = math.fsum(m * x**i for x, m in nu1.atoms) - math.fsum(
+            m * x**i for x, m in nu2.atoms
+        )
+        if abs(d) > 1e-12 * scale:
+            return [first_knot - 4.0**j for j in range(1, 12)] if d < 0 else []
+    return []
+
+
+def _row_scale(v1: float, v2: float) -> float:
+    """(v1 - v2) / (1 + |v1|): a row passes when this is >= -tol_eq."""
+    return (v1 - v2) / (1.0 + abs(v1))
+
+
+def _exact_margin(nu1, nu2, t: float, n: int) -> float:
+    """nu1(p+) - nu2(p+) at t on the row scale, in exact rationals."""
+    def pm(nu):
+        return sum(Fraction(m) * (Fraction(x) - Fraction(t)) ** n
+                   for x, m in nu.atoms if m > 0 and x >= t) / math.factorial(n)
+
+    v1, v2 = pm(nu1), pm(nu2)
+    return float((v1 - v2) / (1 + abs(v1)))
+
+
+def test_refinement_never_above_reference():
+    # The piece minimizer may only find a lower margin than the monomial
+    # reference, and a verdict may only flip to a violation that exact
+    # arithmetic confirms at the new row's t.
     rng = np.random.default_rng(20261018)
     boxed = Interval(-4.0, 4.0, left_closed=True, right_closed=True)
     for idx in range(200):
@@ -532,5 +592,13 @@ def test_refinement_is_bit_identical_to_reference():
             nu2 = MeasureRep(iv, atoms=[(min(max(x + shift, -4.0), 4.0), m)
                                         for x, m in nu2.atoms])
         n = int(rng.integers(0, 6))
-        got = _exact_atom_refinement(nu1, nu2, n, iv)
-        assert got == reference_refinement(nu1, nu2, n, iv), (idx, n)
+        fam = chain_t_two_arg(UnitGauge(iv), 0, n)
+        got = _piece_min((nu1, nu2), fam, n, iv)
+        ref = reference_refinement(nu1, nu2, n, iv)
+        t, v1, v2 = got
+        assert [[v1], [v2]] == _atoms_pm((nu1, nu2), fam, np.array([t]))
+        assert t >= min(x for x, _ in nu1.atoms + nu2.atoms) - 4.0**11
+        new, old = _row_scale(v1, v2), _row_scale(*ref[1:])
+        assert new <= old + 1e-12, (idx, n, got, ref)
+        if (new >= -1e-9) != (old >= -1e-9):
+            assert _exact_margin(nu1, nu2, t, n) < -1e-9, (idx, n, got, ref)

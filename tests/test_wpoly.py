@@ -363,13 +363,14 @@ class TestTransferSweep:
                             (lambda lams: PowerGauge(Interval(1.0, 3.0), 1.0, lams), 30)]:
             for _ in range(count):
                 lams = [float(v) for v in rng.choice([-1.0, -0.5, 0.5, 1.0, 1.5], size=4)]
-                fs = finiteness_set(make(lams), 3, force_probe=True)
+                g = make(lams)
+                fs, analytic = finiteness_set(g, 3, force_probe=True), finiteness_set(g, 3)
                 for mm in range(4):
                     for jj in range(mm):
                         sums = [math.fsum(lams[i + 1:mm + 1]) for i in range(jj, mm)]
                         if all(abs(v) >= 0.5 for v in sums):
-                            assert fs.contains(jj, mm) == wpoly._exp_criterion(
-                                lambda l: lams[l], jj, mm), (lams, jj, mm)
+                            assert fs.contains(jj, mm) == analytic.contains(jj, mm), (
+                                lams, jj, mm)
 
     @pytest.mark.parametrize("lam3", [-0.7, -1.5])
     def test_probe_pair_outlives_a_breakdown_of_other_levels(self, lam3):
@@ -899,6 +900,37 @@ class TestFinitenessSet:
                 g = PowerGauge(Interval(a, b), base, lams)
                 fsp = finiteness_set(g, 3, force_probe=True)
                 assert fsp.table == finiteness_set(g, 3).table, (a, b, lams)
+
+
+    def test_cancelling_suffix_sum_follows_the_descent(self):
+        # -0.3 + 0.1 + 0.2 sums to 2.8e-17 in floats: the chain's descent
+        # counts that rate as 0, and p_(a;1,4) diverges.
+        for g in (ExponentialGauge(R, [0, 0, -0.3, 0.1, 0.2]),
+                  PowerGauge(Interval(0.0, math.inf), 0.0, [1, 1, -0.3, 0.1, 0.2])):
+            fs = finiteness_set(g, 4)
+            assert fs.F_kn(1) == [1]
+            assert chain_t_handle(g, g.interval.a, 1, 4)._full_evaluator().divergent
+
+    def test_table_is_the_chains_divergence(self):
+        # Decimal exponents whose suffix sums cancel to rounding noise.
+        rng = np.random.default_rng(151)
+        choices = [-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.6]
+        for case in range(60):
+            lams = [float(v) for v in rng.choice(choices, size=6)]
+            kind = case % 3
+            if kind == 0:
+                g = UnitGauge(R if case % 2 else Interval(-1.0, 2.0))
+            elif kind == 1:
+                g = ExponentialGauge(R if case % 2 else Interval(-1.0, 2.0), lams)
+            else:
+                base = 0.5 if case % 2 else 0.25
+                g = PowerGauge(Interval(0.5, math.inf), base, [v + 1.0 for v in lams])
+            fs = finiteness_set(g, 5)
+            for m in range(6):
+                for j in range(m + 1):
+                    h = chain_t_handle(g, g.interval.a, j, m)
+                    assert fs.contains(j, m) == (not h._full_evaluator().divergent), (
+                        case, lams, j, m)
 
 
 class TestInterpolate:
