@@ -30,7 +30,7 @@ from .errors import (
     malformed_input_as,
 )
 from .intervals import Interval, interval_from_dict, interval_to_dict
-from .wpoly import WPolyHandle, XRing
+from .wpoly import ExpPoly, WPolyHandle, XRing
 
 __all__ = [
     "MeasureRep",
@@ -60,20 +60,27 @@ def _phi(z: float) -> float:
     return math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
 
 
-def _upper_z_moments(c: float, n: int) -> list:
-    """M_i = E[Z^i 1{Z > c}] for i <= n, Z standard normal.
+def _erfc(v):
+    """math.erfc at a float, or at each element of an array."""
+    return np.array([math.erfc(e) for e in np.ravel(v).tolist()]).reshape(np.shape(v))
+
+
+def _upper_z_moments(c, n: int) -> list:
+    """M_i = E[Z^i 1{Z > c}] for i <= n, Z standard normal, at a float c or
+    at each element of an array of them.
 
     M_0 = 1 - Phi(c), M_1 = phi(c), M_i = c^(i-1) phi(c) + (i-1) M_(i-2).
     M_0 as erfc keeps the upper tail relatively accurate where 1 - Phi(c)
     would cancel to 0.
     """
-    M = [0.5 * math.erfc(c / math.sqrt(2.0)), _phi(c)]
+    phi = np.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
+    M = [0.5 * _erfc(c / math.sqrt(2.0)), phi]
     for i in range(2, n + 1):
-        M.append(c ** (i - 1) * _phi(c) + (i - 1) * M[i - 2])
+        M.append(c ** (i - 1) * phi + (i - 1) * M[i - 2])
     return M[:n + 1]
 
 
-def _normal_raw_moments(mean: float, sd: float, r: int) -> list:
+def _normal_raw_moments(mean, sd: float, r: int) -> list:
     # m_r = mean*m_(r-1) + (r-1)*sd^2*m_(r-2)
     m = [1.0, mean]
     for k in range(2, r + 1):
@@ -81,18 +88,39 @@ def _normal_raw_moments(mean: float, sd: float, r: int) -> list:
     return m
 
 
-def _normal_region_moment(mean: float, sd: float, d: int, lo: float,
-                          hi: float) -> float:
+def _normal_region_moment(mean, sd: float, d: int, lo: float, hi: float):
     """E[Y^d 1{lo <= Y < hi}] for Y ~ N(mean, sd^2), with lo = -inf or
-    hi = inf: the upper region expands Y = mean + sd Z over the truncated
-    moments of Z, and the lower one is the upper region of -Y."""
+    hi = inf, at a float mean or at each element of an array of them: the
+    upper region expands Y = mean + sd Z over the truncated moments of Z,
+    and the lower one is the upper region of -Y."""
     if lo == -math.inf and hi == math.inf:
         return _normal_raw_moments(mean, sd, d)[d]
     if hi == math.inf:
         M = _upper_z_moments((lo - mean) / sd, d)
-        return math.fsum(math.comb(d, i) * mean ** (d - i) * sd**i * M[i]
-                         for i in range(d + 1))
+        return sum(math.comb(d, i) * mean ** (d - i) * sd**i * M[i]
+                   for i in range(d + 1))
     return (-1) ** d * _normal_region_moment(-mean, sd, d, -hi, math.inf)
+
+
+def _tilted_moment(poly: ExpPoly, mean, sd: float, lo: float, hi: float,
+                   log_scale=0.0):
+    """e^log_scale E[poly(Y) 1{lo <= Y < hi}] for Y ~ N(mean, sd^2), at a
+    float mean or at each element of an array of them (log_scale
+    broadcasts with it), with lo = -inf or hi = inf.
+
+    Exponential tilting: c y^d e^(ry) against N(mean, sd^2) is
+    c e^(r mean + (r sd)^2/2) y^d against N(mean + r sd^2, sd^2), whose
+    moment over the region is closed-form.  nan where a term's factor,
+    e^log_scale included, passes e^700.
+    """
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (d, r), c in poly.terms.items():
+            tilt = log_scale + r * mean + 0.5 * (r * sd) ** 2
+            factor = np.where(tilt > 700.0, np.nan, np.exp(tilt))
+            total = total + c * factor * _normal_region_moment(
+                mean + r * sd**2, sd, d, lo, hi)
+    return total
 
 
 def _normal_tail_moment(c: float, n: int) -> float:
@@ -219,22 +247,22 @@ class NormalPart(_Component):
         )
 
     def integrate_ring(self, ring: XRing, iv: Interval) -> Optional[float]:
-        """Exponential tilting: c x^d e^(rx) against N(mean, sd^2) is
-        c e^(r mean + (r sd)^2/2) x^d against N(mean + r sd^2, sd^2), whose
-        moment over the ring's region is closed-form.  None off the whole
-        line or where a tilt factor leaves float range."""
+        """``_tilted_moment`` of the ring over its region.  None off the
+        whole line or where a tilt factor leaves float range."""
         if not (iv.a == -math.inf and iv.b == math.inf):
             return None
-        lo, hi = ring.region
-        terms = []
-        for (d, r), c in ring.poly.terms.items():
-            tilt = r * self.mean + 0.5 * (r * self.sd) ** 2
-            if tilt > 700.0:
-                return None
-            terms.append(c * math.exp(tilt) * _normal_region_moment(
-                self.mean + r * self.sd**2, self.sd, d, lo, hi))
-        v = self.weight * math.fsum(terms)
+        v = float(self.weight * _tilted_moment(ring.poly, self.mean, self.sd,
+                                               *ring.region))
         return v if math.isfinite(v) else None
+
+    def translated_pm(self, sigma: float, base: ExpPoly, ts: np.ndarray) -> np.ndarray:
+        """The integral of p+_t at each t of ts, for a chain with
+        p_t(x) = e^(sigma t) base(x - t) (``wpoly.translated_chain``): base
+        against Y = X - t ~ N(mean - t, sd^2) over y >= 0, one
+        ``_tilted_moment`` over the whole array.  nan where a tilt factor,
+        e^(sigma t) included, passes e^700."""
+        return self.weight * _tilted_moment(base, self.mean - ts, self.sd, 0.0,
+                                            math.inf, sigma * ts)
 
     def reflected(self) -> "NormalPart":
         return NormalPart(-self.mean, self.sd, self.weight)
@@ -275,6 +303,11 @@ class PoissonPart(_Component):
 
     def support_point(self, k: int) -> float:
         return self.shift + self.scale * k
+
+    def support(self) -> tuple:
+        """The sweep's support points and pmf values, as two arrays."""
+        ks, ps = zip(*self._pmf_iter())
+        return self.shift + self.scale * np.array(ks, dtype=float), np.array(ps)
 
     def pm(self, t: float, n: int) -> float:
         return self.pm_by_summation(t, n)
@@ -333,8 +366,7 @@ class PoissonPart(_Component):
         ring evaluated at every support point at once.  None where the
         support leaves iv or the ring is not finite on it (a term past
         e^700), so that integrate raises or signs the divergence."""
-        ks, ps = zip(*self._pmf_iter())
-        xs = self.shift + self.scale * np.array(ks, dtype=float)
+        xs, ps = self.support()
         if not (iv.contains(float(xs[0])) and iv.contains(float(xs[-1]))):
             return None
         lo, hi = ring.region
@@ -345,7 +377,7 @@ class PoissonPart(_Component):
             vals[xs == ring.anchor] = 0.0
         if not np.all(np.isfinite(vals)):
             return None
-        return self.weight * math.fsum((np.array(ps) * vals).tolist())
+        return self.weight * math.fsum((ps * vals).tolist())
 
     def reflected(self) -> "PoissonPart":
         return PoissonPart(self.lam, -self.scale, -self.shift, self.weight)
@@ -536,11 +568,15 @@ def gmoment(nu: MeasureRep, p, breakpoints: Sequence[float] = ()) -> float:
     exponential gauges) exactly, through the part's ``integrate_ring``.
     Every other pair (Cauchy and density parts; table and power gauges;
     interp handles and plain callables) goes through the part's
-    ``integrate``, once per sign, with one value of p per node.
+    ``integrate``, once per sign, with one value of p per node, and with
+    the anchor of a chain handle (t, or z) as a breakpoint: a part of p_t
+    is cut off at t, and p_(a,z) can change sign at z.
+    Condition (iii) of the dominance check calls this only for the parts
+    its grid batch does not cover (``dual_cone._grid_rows``).
     """
     f = p.eval if isinstance(p, WPolyHandle) else p
-    if isinstance(p, WPolyHandle) and p.tag == "chain_t":
-        breakpoints = tuple(breakpoints) + (p.family[1],)
+    if isinstance(p, WPolyHandle) and p.tag in ("chain_t", "chain_az"):
+        breakpoints = tuple(breakpoints) + (p.family[1],)  # t, or z
     pos = 0.0
     neg = 0.0
     for x, mass in nu.atoms:

@@ -1300,6 +1300,21 @@ def interpolate(
     return WPolyHandle(g, ("interp", float(z), coeffs), FULL, quad)
 
 
+def translated_chain(g: GaugeSpec, j: int, m: int) -> Optional[tuple]:
+    """(sigma, base) with p_{t;j,m}(x) = exp(sigma*t) * base(x - t) for
+    every finite t, under unit and exponential gauges; None under others.
+
+    sigma is the sum of the exponent parameters over levels j..m and base
+    is p_{0;j,m} as an ExpPoly in x: moving the anchor translates the
+    chain and rescales it.
+    """
+    if not isinstance(g, (UnitGauge, ExponentialGauge)):
+        return None
+    lam = _ring_rate(g)
+    sigma = math.fsum(lam(s) for s in range(j, m + 1))
+    return sigma, _descend(_gauge_ring(g, m), g, range(m - 1, j - 1, -1), 0.0)
+
+
 def chain_t_two_arg(
     g: GaugeSpec, j: int, m: int, quad: QuadConfig = DEFAULT_QUAD
 ) -> Callable:
@@ -1311,10 +1326,8 @@ def chain_t_two_arg(
     is one call.
 
     For unit/exponential gauges the chain satisfies the translation
-    identity p_{t;j,m}(x) = exp(sigma*t) * p_{0;j,m}(x - t) with sigma the
-    sum of the exponent parameters over levels j..m, so a single chain
-    built at t = 0 serves every anchor, and an array call is one
-    ExpPoly.eval_many.
+    identity of ``translated_chain``, so a single chain built at t = 0
+    serves every anchor, and an array call is one ExpPoly.eval_many.
 
     Gauges with no closed form and no one-level antiderivative take one
     PanelChain cover per array call, over [min t, max x] with every
@@ -1325,10 +1338,9 @@ def chain_t_two_arg(
     antiderivative, and anchors at or below a keep per-t evaluators with a
     small cache, one scalar eval per cell with x >= t.
     """
-    if isinstance(g, (UnitGauge, ExponentialGauge)):
-        lam = _ring_rate(g)
-        sigma = math.fsum(lam(s) for s in range(j, m + 1))
-        base = _descend(_gauge_ring(g, m), g, range(m - 1, j - 1, -1), 0.0)
+    ring = translated_chain(g, j, m)
+    if ring is not None:
+        sigma, base = ring
 
         def one(t: float, x: float) -> float:
             return _safe_exp(sigma * t) * base.eval(x - t) if x >= t else 0.0

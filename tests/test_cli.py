@@ -137,6 +137,23 @@ class TestExitCodes:
         ])
         assert code == 2
 
+    def test_poisson_support_outside_the_gauge_interval_is_two(self, tmp_path, capsys):
+        # Support points 3 - k reach below the gauge interval (0, inf).
+        gauges = tmp_path / "gpos.json"
+        gauges.write_text(json.dumps(
+            {"interval": {"a": 0, "b": "inf"}, "kind": "unit", "params": []}))
+        nu = tmp_path / "pois.json"
+        nu.write_text(json.dumps({"continuous": {
+            "family": "poisson", "lam": 2.0, "scale": -1.0, "shift": 3.0}}))
+        atom = tmp_path / "atom.json"
+        atom.write_text(json.dumps({"atoms": [[1.0, 1.0]]}))
+        code = main([
+            "dominate", "--nu1", str(nu), "--nu2", str(atom),
+            "--gauges", str(gauges), "--k", "1", "--n", "2",
+        ])
+        assert code == 2
+        assert "point 0.0 outside interval" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", [
         # a table gauge whose params are an object, not a one-name list
         ("gauges", {"interval": {"a": "-inf", "b": "inf"}, "kind": "table",

@@ -5,20 +5,30 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gmono import ExponentialGauge, Interval, PreconditionError, UnitGauge
+from gmono import (
+    DomainError,
+    ExponentialGauge,
+    Interval,
+    PreconditionError,
+    UnitGauge,
+    dual_cone,
+)
 from gmono.gderiv import ConeSpec, cone_membership
-from gmono.intervals import arctan_cheb_gauges
+from gmono.intervals import TableGauge, arctan_cheb_gauges
 from gmono.measures import (
     CauchyPart,
     MeasureRep,
     NormalPart,
     PoissonPart,
     central_moment_about,
+    gmoment,
     partial_moment,
 )
 from gmono.dual_cone import (
     _atoms_pm,
+    _grid_rows,
     _piece_min,
     check_dominance,
     default_t_grid,
@@ -26,6 +36,7 @@ from gmono.dual_cone import (
 )
 from gmono.wpoly import (
     DEFAULT_QUAD,
+    POSITIVE,
     WPolyHandle,
     chain_az_handle,
     chain_t_handle,
@@ -602,3 +613,97 @@ def test_refinement_never_above_reference():
         assert new <= old + 1e-12, (idx, n, got, ref)
         if (new >= -1e-9) != (old >= -1e-9):
             assert _exact_margin(nu1, nu2, t, n) < -1e-9, (idx, n, got, ref)
+
+
+# ---------------------------------------------------------------------------
+# Condition (iii) in one batch per measure
+# ---------------------------------------------------------------------------
+
+LAMS = (-1.0, -0.5, 0.0, 0.5, 1.0)
+
+
+class TestConditionIIIBatch:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_matches_per_t_handles(self, data):
+        # Normal parts by translation and Poisson parts as atoms, with and
+        # without atoms of their own, against one handle per t.
+        draw = data.draw
+        n = draw(st.integers(0, 5))
+        if draw(st.booleans()):
+            g = UnitGauge(R)
+        else:
+            g = ExponentialGauge(R, [draw(st.sampled_from(LAMS)) for _ in range(n + 1)])
+        if draw(st.booleans()):
+            part = NormalPart(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.5, 1.5)),
+                              draw(st.floats(0.1, 2.0)))
+        else:
+            part = PoissonPart(draw(st.floats(1.0, 6.0)),
+                               draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.5, 1.5)),
+                               draw(st.floats(-3.0, 3.0)), draw(st.floats(0.1, 2.0)))
+        atoms = draw(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.05, 1.0)),
+                              max_size=3))
+        nu = MeasureRep(R, atoms=atoms, continuous=part)
+        ts = draw(st.lists(st.floats(-6.0, 8.0), min_size=1, max_size=6))
+        rows = _grid_rows((nu, JENSEN_POINT), g, n, chain_t_two_arg(g, 0, n), ts,
+                          DEFAULT_QUAD)
+        for row, nu_ in zip(rows, (nu, JENSEN_POINT)):
+            for t, got in zip(ts, row):
+                want = gmoment(nu_, chain_t_handle(g, t, 0, n, part=POSITIVE))
+                assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (t, got, want)
+
+    def test_poisson_rows_are_exact_sums(self):
+        # The sum of pmf * (x - t)^5 / 5! over the sweep in exact rational
+        # arithmetic.  Expanding the chain in powers of x at t lost 3.7e-14
+        # and 6.8e-14 of it.
+        part = PoissonPart(6.0, 1.4, 0.4)
+        nu = MeasureRep(R, continuous=part)
+        rows = _grid_rows((nu,), GU, 5, chain_t_two_arg(GU, 0, 5), [10.0, 15.0],
+                          DEFAULT_QUAD)
+        for t, v in zip((10.0, 15.0), rows[0]):
+            exact = sum((Fraction(p) * (Fraction(part.support_point(k)) - Fraction(t)) ** 5
+                         for k, p in part._pmf_iter() if part.support_point(k) > t),
+                        Fraction(0)) / 120
+            assert abs(v - float(exact)) <= 1e-14 * (1.0 + abs(v))
+
+    @staticmethod
+    def _positive_calls(monkeypatch, nu1, nu2, g, n, t_grid):
+        calls = []
+
+        def counted(nu, p, *args):
+            if isinstance(p, WPolyHandle) and p.part == POSITIVE:
+                calls.append(p.family[1])
+            return gmoment(nu, p, *args)
+
+        monkeypatch.setattr(dual_cone, "gmoment", counted)
+        check_dominance(nu1, nu2, ConeSpec(g, 1, n), t_grid=t_grid)
+        return calls
+
+    @pytest.mark.parametrize("g", [GU, ExponentialGauge(R, [0.0, 0.5, -1.0])],
+                             ids=["unit", "exp"])
+    @pytest.mark.parametrize("part", [NormalPart(0.3, 1.2), PoissonPart(3.0, -1.1, 2.0)],
+                             ids=["normal", "poisson"])
+    def test_normal_and_poisson_take_no_handle_per_t(self, monkeypatch, g, part):
+        nu1 = MeasureRep(R, atoms=[(0.5, 0.3)], continuous=part)
+        calls = self._positive_calls(monkeypatch, nu1, JENSEN_SPREAD, g, 2, None)
+        assert calls == []
+
+    def test_cauchy_and_table_clone_take_one_handle_per_t(self, monkeypatch):
+        ts = [-1.0, 0.5, 2.0]
+        cauchy = MeasureRep(R, continuous=CauchyPart())
+        calls = self._positive_calls(monkeypatch, cauchy, JENSEN_POINT, GU, 0, ts)
+        assert calls == ts
+        clone = TableGauge(R, [lambda x: 1.0, lambda x: math.exp(0.5 * x)])
+        normal = MeasureRep(R, continuous=NormalPart(0.0, 1.0))
+        calls = self._positive_calls(monkeypatch, normal, JENSEN_POINT, clone, 1, ts)
+        assert calls == ts
+
+    def test_poisson_support_leaving_the_interval_raises(self):
+        # Support points 3 - k reach below (0, inf): admissibility refuses
+        # them first, and the grid rows alone refuse them as gmoment does.
+        g = UnitGauge(Interval(0.0, math.inf))
+        nu = MeasureRep(R, continuous=PoissonPart(2.0, -1.0, 3.0))
+        with pytest.raises(DomainError, match="outside interval"):
+            check_dominance(nu, MeasureRep(R, atoms=[(1.0, 1.0)]), ConeSpec(g, 1, 2))
+        with pytest.raises(DomainError, match="outside interval"):
+            _grid_rows((nu,), g, 2, chain_t_two_arg(g, 0, 2), [1.0], DEFAULT_QUAD)

@@ -21,7 +21,7 @@ from gmono import (
 )
 from gmono.dual_cone import check_dominance
 from gmono.gderiv import ConeSpec
-from gmono.intervals import arctan_cheb_gauges
+from gmono.intervals import TableGauge, arctan_cheb_gauges
 from gmono.measures import (
     CauchyPart,
     DensityPart,
@@ -327,6 +327,17 @@ class TestExactRingMoments:
         pos = nu.continuous.integrate(lambda x: max(f(x), 0.0))
         neg = nu.continuous.integrate(lambda x: max(-f(x), 0.0))
         assert v == pos - neg
+
+    @pytest.mark.parametrize("mean, sd", [(-0.0116, 0.784), (0.01, 0.5)])
+    def test_quadrature_breaks_at_z(self, mean, sd):
+        # On the unit table clone, p_(a,z;0:1:1) = p_(z;0,1) = x - z changes
+        # sign at z = 0; without z as a breakpoint quadrature was off by
+        # 3.4e-5 and -4.0e-5 here and reported success.
+        g = TableGauge(R, [lambda x: 1.0, lambda x: 1.0])
+        h = chain_az_handle(g, 0.0, 0, 1, 1)
+        assert h.x_ring() is None
+        v = gmoment(MeasureRep(R, continuous=NormalPart(mean, sd)), h)
+        assert abs(v - mean) <= 1e-12
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
