@@ -9,13 +9,13 @@ cone iff
   (iii) nu1 >= nu2 on every positive part p+_{t;0,n}, t in I.
 
 Condition (iii) is certified on a t-grid (atoms + quantiles + an
-arctan-uniform fill).  Each measure's rows over the grid are one batch
-(``_grid_rows``): atoms and the support of a Poisson part go through the
-two-argument chain family, and a normal part under unit or exponential
-gauges takes its moments by translation; other parts take one handle per
-t.  For pure-atom measures under unit gauges the margin
-is piecewise polynomial in t and the check refines to exact per-piece
-minimization (``_piece_min``): each piece's polynomial in local
+arctan-uniform fill).  The measures' rows over the grid are one batch
+(``_grid_rows``): their atoms, with a Poisson part's support as more
+atoms, are one call of the two-argument chain family, and a normal part
+under unit or exponential gauges takes its moments by translation; other
+parts take one handle per t.  For pure-atom measures under unit gauges
+the margin is piecewise polynomial in t and the check refines to exact
+per-piece minimization (``_piece_min``): each piece's polynomial in local
 coordinates gives the candidates, the grid rows' chain family gives their
 values, and the candidate lowest on the scale rows are judged on is
 reported as one more (iii) row, labelled "(piece min)", on the grid rows'
@@ -62,9 +62,6 @@ __all__ = [
     "OracleReport",
     "default_t_grid",
 ]
-
-# Cells of one family call over a Poisson part's (t, support) grid.
-_BLOCK_CELLS = 4096
 
 DOMINATES = "dominates"
 FAILS = "fails"
@@ -312,37 +309,43 @@ def _signed_witness(h: WPolyHandle, gap: float, label: str):
 def _grid_rows(nus: Sequence[MeasureRep], g, n: int, fam, t_grid, quad) -> list:
     """nu(p+_{t;0,n}) at each t of t_grid, one list per measure of nus.
 
-    Every measure whose part has a batch is one row over the whole grid:
-    the atoms of all of them are one fam call (``_atoms_pm``), the support
-    of a Poisson part is a set of atoms of its own (``_support_pm``), and
-    a normal part under unit or exponential gauges on the whole line takes
-    its moments by translation (``NormalPart.translated_pm``).  The other
-    measures (a Cauchy or density part; a normal part under other gauges
-    or off the line), and every t where a row is not finite (a tilt past
-    e^700, an overflowed cell, a Poisson support leaving the gauge
-    interval, which gmoment refuses), take gmoment of that t's handle.
+    Every measure whose part has a batch is one row over the whole grid,
+    and the discrete parts of all of them are one fam call (``_atoms_pm``):
+    a measure's atoms, and the support points (x_k, weight * pmf_k) of a
+    Poisson part whose support lies in the gauge interval, are summed as
+    one set of atoms.  A normal part under unit or exponential gauges on
+    the whole line adds its moments by translation
+    (``NormalPart.translated_pm``).  The other measures (a Cauchy or
+    density part; a normal part under other gauges or off the line; a
+    Poisson support leaving the gauge interval, which gmoment refuses), and
+    every t where a row is not finite (a tilt past e^700, an overflowed
+    cell), take gmoment of that t's handle.
     """
     iv = g.interval
     normal = any(isinstance(nu.continuous, NormalPart) for nu in nus)
     ring = translated_chain(g, 0, n) if normal else None
     ts = np.array(t_grid, dtype=float)
 
-    def batched(part) -> bool:
-        if part is None or isinstance(part, PoissonPart):
-            return True
-        return (isinstance(part, NormalPart) and ring is not None
-                and iv.a == -math.inf and iv.b == math.inf)
-
-    batch = [batched(nu.continuous) for nu in nus]
-    sums = iter(_atoms_pm([nu for nu, b in zip(nus, batch) if b], fam, ts))
-    rows = []
-    for nu, b in zip(nus, batch):
+    def points(nu):
+        """nu's atoms and batched Poisson support, or None without a batch."""
         part = nu.continuous
-        row = np.array(next(sums)) if b else np.full(len(ts), math.nan)
         if isinstance(part, PoissonPart):
-            row += _support_pm(part, fam, ts, iv)
-        elif b and isinstance(part, NormalPart):
-            row += part.translated_pm(*ring, ts)
+            xs, ps = part.support()
+            if not (iv.contains(float(xs[0])) and iv.contains(float(xs[-1]))):
+                return None
+            return nu.atoms + tuple(zip(xs.tolist(), (part.weight * ps).tolist()))
+        if part is None or (isinstance(part, NormalPart) and ring is not None
+                            and iv.a == -math.inf and iv.b == math.inf):
+            return nu.atoms
+        return None
+
+    batch = [points(nu) for nu in nus]
+    sums = iter(_atoms_pm([p for p in batch if p is not None], fam, ts))
+    rows = []
+    for nu, p in zip(nus, batch):
+        row = np.full(len(ts), math.nan) if p is None else np.array(next(sums))
+        if p is not None and isinstance(nu.continuous, NormalPart):
+            row += nu.continuous.translated_pm(*ring, ts)
         for i in np.flatnonzero(~np.isfinite(row)).tolist():
             h = chain_t_handle(g, t_grid[i], 0, n, part=POSITIVE, quad=quad)
             row[i] = gmoment(nu, h)
@@ -350,12 +353,12 @@ def _grid_rows(nus: Sequence[MeasureRep], g, n: int, fam, t_grid, quad) -> list:
     return rows
 
 
-def _atoms_pm(nus: Sequence[MeasureRep], fam, ts: np.ndarray) -> list:
-    """For each measure of nus, sum m p+_{t;0,n}(x) over its atoms at each
-    t of ts, +inf where a term is not finite: one fam call over (t, atom)
-    for every measure's atoms, then one cumulative sum per measure, which
-    adds its atoms in order."""
-    atoms = [[(x, m) for x, m in nu.atoms if m > 0] for nu in nus]
+def _atoms_pm(atoms: Sequence, fam, ts: np.ndarray) -> list:
+    """For each sequence of atoms (x, m) in atoms, sum m p+_{t;0,n}(x) over
+    those of positive mass at each t of ts, +inf where a term is not
+    finite: one fam call over (t, atom) for every sequence, then one
+    cumulative sum per sequence, which adds its atoms in order."""
+    atoms = [[(x, m) for x, m in each if m > 0] for each in atoms]
     vals = fam(ts[:, None], np.array([x for each in atoms for x, _ in each]))
     sums, col = [], 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -366,26 +369,6 @@ def _atoms_pm(nus: Sequence[MeasureRep], fam, ts: np.ndarray) -> list:
             sums.append(total.tolist())
             col += len(each)
     return sums
-
-
-def _support_pm(part: PoissonPart, fam, ts: np.ndarray, iv) -> np.ndarray:
-    """weight * sum pmf_k p+_{t;0,n}(x_k) over a Poisson part's support
-    (``PoissonPart.support``) at each t of ts, or nan where the support
-    leaves iv: fam over (t, x_k) in blocks of rows of at most _BLOCK_CELLS
-    cells, each row summed against the pmf.
-    A family call holds about a dozen temporaries of its own size, and one
-    call over a whole grid against a support of about a hundred points
-    added 1.4 MB to the peak resident memory of a run; a BLAS product in
-    place of the sums added 0.1 to 0.3 MB."""
-    xs, ps = part.support()
-    out = np.full(len(ts), math.nan)
-    if not (iv.contains(float(xs[0])) and iv.contains(float(xs[-1]))):
-        return out
-    step = max(1, _BLOCK_CELLS // len(xs))
-    with np.errstate(over="ignore", invalid="ignore"):  # overflowed cells
-        for i in range(0, len(ts), step):
-            out[i:i + step] = (fam(ts[i:i + step, None], xs) * ps).sum(axis=1)
-    return part.weight * out
 
 
 def _inconclusive(s, z, t_grid, tol_eq) -> DominanceReport:
@@ -458,7 +441,7 @@ def _piece_min(nus: Sequence[MeasureRep], fam, n: int, iv):
             cands += (top - deep).tolist()
     if not cands:
         return None
-    v1, v2 = _atoms_pm(nus, fam, np.array(cands))
+    v1, v2 = _atoms_pm([nu.atoms for nu in nus], fam, np.array(cands))
     a1, a2 = np.array(v1), np.array(v2)
     with np.errstate(invalid="ignore"):  # inf / inf where both sides overflow
         worst = int(np.nanargmin((a1 - a2) / (1.0 + np.abs(a1))))

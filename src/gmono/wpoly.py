@@ -201,29 +201,27 @@ class ExpPoly:
         return acc
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        """eval at each of xs, term by term in the same order and with the
-        same rule where a term overflows: the value is then +-inf by the
-        sign of the overflowed term with the largest r*x (then degree)."""
+        """eval at each of xs: the terms summed in eval's order, and a cell
+        where some term overflows (r*x past 700) handed to eval, whose
+        rule gives it its +-inf."""
         xs = np.asarray(xs, dtype=float)
         acc = np.zeros(xs.shape)
-        top = np.full(xs.shape, -np.inf)  # r*x of the dominant overflowed term
-        top_d = np.full(xs.shape, -1)
-        sign = np.zeros(xs.shape)
+        over = np.zeros(xs.shape, dtype=bool)
+        term = rx = None  # buffers, allocated by the first term that needs them
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             for (d, r), c in self.terms.items():
                 if c == 0.0:
                     continue
-                if r == 0.0:
-                    acc += c * xs**d
-                    continue
-                rx = r * xs
-                over = rx > 700.0
-                acc += np.where(over, 0.0, c * xs**d * np.exp(np.where(over, 0.0, rx)))
-                wins = over & ((rx > top) | ((rx == top) & (d > top_d)))
-                top = np.where(wins, rx, top)
-                top_d = np.where(wins, d, top_d)
-                sign = np.where(wins, math.copysign(1.0, c), sign)
-        return np.where(sign == 0.0, acc, np.copysign(np.inf, sign))
+                term = np.power(xs, d, out=term)
+                term *= c
+                if r != 0.0:
+                    rx = np.multiply(xs, r, out=rx)
+                    over |= rx > 700.0
+                    term *= np.exp(rx, out=rx)
+                acc += term
+        if over.any():
+            acc[over] = [self.eval(x) for x in xs[over].tolist()]
+        return acc
 
     def pretty(self, var: str = "x") -> str:
         bits = []
@@ -320,8 +318,8 @@ class PanelChain:
     T(t, e)[:, m - j]: on each panel its values at the nodes are row 0 of
     T(e, node) times that column.  Before the first evaluation those values
     at orders 32 and 48 must also agree, at 9 probes and to the tolerance of
-    the panel's largest value; a panel that fails is bisected and the cover
-    built again.  The chain is exactly zero at the anchor, and a value near
+    the panel's largest value; a panel that fails is bisected and only its
+    halves are built.  The chain is exactly zero at the anchor, and a value near
     it is built only from the panels between the two.  The bottom level's
     gauge w_j never enters the matrices: ``eval`` applies it.
     """
@@ -351,7 +349,7 @@ class PanelChain:
         self.start_values = start_values
         self.quad = quad
         self._coeffs = None  # the anchored chain per panel, composed on first eval
-        self._build(breaks)
+        self._build(breaks[:-1], breaks[1:])
 
     def _ends(self, a: np.ndarray, b: np.ndarray, back: int, order: int):
         """For panels [a_k, b_k], the first ``back`` of them left of the
@@ -388,9 +386,11 @@ class PanelChain:
             ends[back:, r] = row[back:, :, -1]
         return ends, row
 
-    def _build(self, breaks: np.ndarray) -> None:
-        a, b = breaks[:-1], breaks[1:]
-        done = []  # (left edges, matrices, rows at orders 32 and 48) that passed
+    def _build(self, a: np.ndarray, b: np.ndarray, done: Sequence = ()) -> None:
+        """The cover of the panels [a_k, b_k], bisected until they pass, and
+        of ``done``: (left edges, matrices, rows at orders 32 and 48) of
+        panels that passed already."""
+        done = list(done)
         for _ in range(9):
             order = np.argsort(a)  # the panels left of the anchor first
             a, b = a[order], b[order]
@@ -441,8 +441,11 @@ class PanelChain:
                 return
             if len(self.breaks) > 1024:
                 break
-            b = self.breaks
-            self._build(np.insert(b, bad + 1, 0.5 * (b[bad] + b[bad + 1])))
+            a, b = self.breaks[bad], self.breaks[bad + 1]
+            mid = 0.5 * (a + b)
+            passed = [np.delete(p, bad, axis=0)
+                      for p in (self.breaks[:-1], self.mats, *self._rows)]
+            self._build(np.r_[a, mid], np.r_[mid, b], [passed])
         self._no_convergence(len(self.breaks) - 1)
 
     def _no_convergence(self, panels: int):
@@ -1327,7 +1330,9 @@ def chain_t_two_arg(
 
     For unit/exponential gauges the chain satisfies the translation
     identity of ``translated_chain``, so a single chain built at t = 0
-    serves every anchor, and an array call is one ExpPoly.eval_many.
+    serves every anchor: an array call takes h = x - t once over the
+    broadcast grid, one ExpPoly.eval_many on the cells with h >= 0, and
+    e^(sigma t) broadcast from t.
 
     Gauges with no closed form and no one-level antiderivative take one
     PanelChain cover per array call, over [min t, max x] with every
@@ -1342,16 +1347,21 @@ def chain_t_two_arg(
     if ring is not None:
         sigma, base = ring
 
-        def one(t: float, x: float) -> float:
-            return _safe_exp(sigma * t) * base.eval(x - t) if x >= t else 0.0
-
-        def many(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        def family(t, x):
+            if isinstance(t, (float, int)) and isinstance(x, (float, int)):
+                return _safe_exp(sigma * t) * base.eval(x - t) if x >= t else 0.0
+            t = np.asarray(t, dtype=float)
+            h = np.asarray(x, dtype=float) - t
+            on = h >= 0.0
+            out = np.zeros(h.shape)
+            out[on] = base.eval_many(h[on])
             st = sigma * t
             with np.errstate(over="ignore", invalid="ignore"):
-                # _safe_exp's cut-offs, so that overflowed cells match one().
+                # _safe_exp's cut-offs, as in a scalar call.
                 scale = np.where(st > 700.0, np.inf,
                                  np.where(st < -745.0, 0.0, np.exp(st)))
-                return scale * base.eval_many(x - t)
+                np.multiply(out, scale, out=out, where=on)
+            return out
     else:
         cache: dict = {}
 
@@ -1381,15 +1391,15 @@ def chain_t_two_arg(
                 out[inner] = _swept_chain(g, j, m, t[inner], x[inner], quad)
                 return out
 
-    def family(t, x):
-        if isinstance(t, (float, int)) and isinstance(x, (float, int)):
-            return one(t, x)
-        t, x = np.broadcast_arrays(np.asarray(t, dtype=float),
-                                   np.asarray(x, dtype=float))
-        out = np.zeros(t.shape)
-        on = x >= t
-        out[on] = many(t[on], x[on])
-        return out
+        def family(t, x):
+            if isinstance(t, (float, int)) and isinstance(x, (float, int)):
+                return one(t, x)
+            t, x = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                       np.asarray(x, dtype=float))
+            out = np.zeros(t.shape)
+            on = x >= t
+            out[on] = many(t[on], x[on])
+            return out
 
     return family
 

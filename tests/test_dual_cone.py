@@ -607,7 +607,7 @@ def test_refinement_never_above_reference():
         got = _piece_min((nu1, nu2), fam, n, iv)
         ref = reference_refinement(nu1, nu2, n, iv)
         t, v1, v2 = got
-        assert [[v1], [v2]] == _atoms_pm((nu1, nu2), fam, np.array([t]))
+        assert [[v1], [v2]] == _atoms_pm((nu1.atoms, nu2.atoms), fam, np.array([t]))
         assert t >= min(x for x, _ in nu1.atoms + nu2.atoms) - 4.0**11
         new, old = _row_scale(v1, v2), _row_scale(*ref[1:])
         assert new <= old + 1e-12, (idx, n, got, ref)
@@ -707,3 +707,24 @@ class TestConditionIIIBatch:
             check_dominance(nu, MeasureRep(R, atoms=[(1.0, 1.0)]), ConeSpec(g, 1, 2))
         with pytest.raises(DomainError, match="outside interval"):
             _grid_rows((nu,), g, 2, chain_t_two_arg(g, 0, 2), [1.0], DEFAULT_QUAD)
+
+    def test_one_family_call_per_batch(self):
+        # The atoms and Poisson supports of both measures go through one
+        # call over the whole grid.
+        fam, shapes = chain_t_two_arg(GU, 0, 3), []
+
+        def counted(t, x):
+            shapes.append(np.broadcast(t, x).shape)
+            return fam(t, x)
+
+        nus = (MeasureRep(R, atoms=[(0.5, 0.3), (-1.0, 0.2)],
+                          continuous=PoissonPart(4.0, 1.0, -2.0)),
+               MeasureRep(R, atoms=[(1.5, 0.4)], continuous=PoissonPart(3.0, -0.5, 2.0)))
+        ts = np.linspace(-4.0, 6.0, 200).tolist()
+        rows = _grid_rows(nus, GU, 3, counted, ts, DEFAULT_QUAD)
+        points = 3 + sum(len(nu.continuous.support()[0]) for nu in nus)
+        assert shapes == [(len(ts), points)]
+        for nu, row in zip(nus, rows):
+            for t in ts[::40]:
+                want = gmoment(nu, chain_t_handle(GU, t, 0, 3, part=POSITIVE))
+                assert abs(row[ts.index(t)] - want) <= 1e-12 * (1.0 + abs(want))

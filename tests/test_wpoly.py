@@ -6,6 +6,7 @@ Chebyshev/panel numeric route through a table-gauge clone.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +265,25 @@ class TestTwoArgBroadcast:
             else:
                 assert abs(v - want) <= 1e-12 * (1.0 + abs(want)), (t, x, v, want)
 
+    @pytest.mark.parametrize(
+        "g", [UnitGauge(R), ExponentialGauge(R, [0.0, 0.0, 0.5, -1.0, 1.0])],
+        ids=["unit", "exponential"])
+    def test_closed_form_call_memory(self, g):
+        # A closed-form call over a (t, x) grid holds at most 7 arrays of
+        # the grid's size at its peak: it runs on the grid's on-cells
+        # without broadcast copies of t and x, and eval_many keeps two
+        # buffers besides its sum.
+        fam = chain_t_two_arg(g, 0, 4)
+        ts, xs = np.linspace(-9.0, 3.0, 100)[:, None], np.linspace(-3.0, 3.0, 200)
+        fam(ts, xs)
+        tracemalloc.start()
+        try:
+            out = fam(ts, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * out.nbytes
+
 
 def closed_form_within(h, x, tol):
     """Whether the closed form's own rounding at x, eps times the sum of
@@ -499,17 +519,21 @@ class TestXRing:
 
     def test_eval_many_is_eval(self):
         # Term by term in eval's order, with its overflow rule: past
-        # e^700 the value is +-inf by the dominant term's sign.
-        p = wpoly.ExpPoly({(0, 1.0): 1.0, (3, 2.0): -3.0, (1, -1.0): 0.5,
-                           (5, 0.0): 0.25, (2, 2.5): 7.0})
+        # e^700 the value is +-inf by the dominant term's sign.  In the
+        # second input two overflowing terms of opposite signs tie on r*x,
+        # and the higher degree decides.
         xs = np.concatenate([[0.0, -0.0, 1.0, 351.0, -701.0, -800.0, 1e3, -1e3],
                              np.linspace(-300.0, 300.0, 601)])
-        got = p.eval_many(xs)
-        want = np.array([p.eval(float(x)) for x in xs])
-        assert np.array_equal(np.isinf(got), np.isinf(want))
-        assert np.all(got[np.isinf(got)] == want[np.isinf(want)])
-        fin = np.isfinite(want)
-        assert np.all(np.abs(got[fin] - want[fin]) <= 1e-14 * np.abs(want[fin]))
+        for terms in ({(0, 1.0): 1.0, (3, 2.0): -3.0, (1, -1.0): 0.5, (5, 0.0): 0.25,
+                       (2, 2.5): 7.0},
+                      {(3, 2.0): -1.0, (1, 2.0): 2.0, (0, -1.0): 1.0}):
+            p = wpoly.ExpPoly(terms)
+            got = p.eval_many(xs)
+            want = np.array([p.eval(float(x)) for x in xs])
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            assert np.all(got[np.isinf(got)] == want[np.isinf(want)])
+            fin = np.isfinite(want)
+            assert np.all(np.abs(got[fin] - want[fin]) <= 1e-14 * np.abs(want[fin]))
 
 
 class TestFiniteOpenLeftEndpoint:
@@ -595,6 +619,24 @@ class TestFiniteOpenLeftEndpoint:
         h = chain_t_handle(g, 0.0, 0, 1)
         for x in (500.0, 450.0, 300.0, 500.0, 450.0):
             assert h.eval(x) == pytest.approx(math.expm1(x), rel=1e-12), x
+
+    def test_probe_failure_rebuilds_only_its_panels(self, monkeypatch):
+        # The anchored chain's probe test fails on some panels of these
+        # covers; each is bisected and built again, and a panel that
+        # passed is not: no cover builds one panel twice at one order.
+        built = []
+        ends = wpoly.PanelChain._ends
+
+        def counted(self, a, b, back, order):
+            built.extend((self, order, lo, hi) for lo, hi in zip(a.tolist(), b.tolist()))
+            return ends(self, a, b, back, order)
+
+        monkeypatch.setattr(wpoly.PanelChain, "_ends", counted)
+        g = TableGauge(Interval(0.0, math.inf), [lambda x: 1.0, math.exp])
+        h = chain_t_handle(g, 0.0, 0, 1)
+        for x in (500.0, 450.0, 300.0):
+            assert h.eval(x) == pytest.approx(math.expm1(x), rel=1e-12), x
+        assert len(built) == len(set(built))
 
     def test_float_range_breakdown_is_inconclusive(self):
         # w_1 = x^-40 overflows below x = e^-17.7, short of every cut that
