@@ -35,12 +35,10 @@ from .intervals import (
     transport_gauges,
 )
 from .wpoly import (
-    DEFAULT_QUAD,
     FULL,
     NEGATIVE,
     POSITIVE,
     FinitenessSet,
-    QuadConfig,
     WPolyHandle,
     chain_az_handle,
     chain_t_handle,

@@ -6,8 +6,8 @@ The ratio engine works on the arctan gauge pair (w_0 = pi + arctan,
 w_1 = 1/(1+x^2)) against the standard Cauchy probability measure.  The
 substitution u = arctan x turns the two generator families into (piecewise)
 polynomials in u, so the bilinear ratio reduces to exact polynomial
-integrals; direct adaptive quadrature over the real line provides the
-independent route.
+integrals; adaptive quadrature against the Cauchy part, in its tan
+substitution, provides the independent route.
 
 The martingale engine compares the exact law of a bounded-difference
 (super)martingale sum against the dominating normal through partial
@@ -36,6 +36,7 @@ from .intervals import (
     UnitGauge,
 )
 from .measures import (
+    CauchyPart,
     MeasureRep,
     NormalPart,
     PoissonPart,
@@ -165,34 +166,15 @@ def cheb_ratio(q: RatioQuery) -> float:
 
 
 def cheb_ratio_quadrature(q: RatioQuery) -> float:
-    """Independent route: adaptive quadrature over the real line."""
-    from scipy import integrate  # loaded by the quadrature routes only
-
+    """Independent route: adaptive quadrature against the Cauchy part, in
+    its tan substitution, split at the kinks of the tau operands."""
     f1, f2 = _as_callable(q.f1), _as_callable(q.f2)
-
-    def afp(f):
-        # integral f dmu with the Cauchy weight, split at the kink.
-        pts = []
-        for spec in (q.f1, q.f2):
-            if isinstance(spec, tuple) and spec[0] == "tau":
-                pts.append(float(spec[1]))
-        total = 0.0
-        edges = [-math.inf] + sorted(pts) + [math.inf]
-        for a, b in zip(edges[:-1], edges[1:]):
-            v, _ = integrate.quad(
-                lambda x: f(x) / (math.pi * (1.0 + x * x)),
-                a,
-                b,
-                epsabs=1e-12,
-                epsrel=1e-11,
-                limit=400,
-            )
-            total += v
-        return total
-
-    i1 = afp(f1)
-    i2 = afp(f2)
-    i12 = afp(lambda x: f1(x) * f2(x))
+    kinks = [float(spec[1]) for spec in (q.f1, q.f2)
+             if isinstance(spec, tuple) and spec[0] == "tau"]
+    mu = CauchyPart()
+    i1 = mu.integrate(f1, kinks)
+    i2 = mu.integrate(f2, kinks)
+    i12 = mu.integrate(lambda x: f1(x) * f2(x), kinks)
     if i1 <= 0 or i2 <= 0:
         raise DomainError("degenerate denominator in the ratio")
     return i12 / (i1 * i2)

@@ -39,7 +39,7 @@ from .gderiv import ConeSpec, cone_membership, function_from_dict
 from .intervals import default_grid, gauge_from_dict
 from .measures import measure_from_dict
 from .taylor import convergence_profile, taylor_data
-from .wpoly import QuadConfig, chain_az_handle, chain_t_handle, finiteness_set
+from .wpoly import chain_az_handle, chain_t_handle, finiteness_set
 
 SCHEMA = "gmono/1"
 
@@ -49,25 +49,34 @@ EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
 
+FORMATS = ("text", "json", "csv")
+# GMONO_CONFIG's keys and the RunConfig fields they set.
+_CONFIG_KEYS = {"tol_eq": "tol_eq", "grid": "grid", "seed": "seed", "format": "fmt"}
+
+
+def _is_a(v, kind) -> bool:
+    """isinstance, with a JSON true/false counting as no number."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
 
 @dataclass(frozen=True)
 class RunConfig:
     tol_eq: float = 1e-9
-    quad_abs: float = 1e-10
-    quad_rel: float = 1e-10
     grid: int = 512
     seed: int = 0
     fmt: str = "text"
 
     def __post_init__(self):
-        if min(self.tol_eq, self.quad_abs, self.quad_rel) <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.grid < 2:
-            raise ValueError("grid size must be >= 2")
-
-    @property
-    def quad(self) -> QuadConfig:
-        return QuadConfig(abs_tol=self.quad_abs, rel_tol=self.quad_rel)
+        tol = self.tol_eq
+        if not (_is_a(tol, (int, float)) and math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tol_eq must be finite and positive, got {tol!r}")
+        if not _is_a(self.grid, int) or self.grid < 2:
+            raise ValueError(f"grid size must be an integer >= 2, got {self.grid!r}")
+        if not _is_a(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if self.fmt not in FORMATS:
+            raise ValueError(f"format must be one of {', '.join(FORMATS)}, "
+                             f"got {self.fmt!r}")
 
 
 def _num(v: float, fmt: str) -> object:
@@ -172,11 +181,10 @@ def _cmd_wpoly(args, cfg: RunConfig) -> int:
     g = gauge_from_dict(_load_json(args.gauges))
     xs = _parse_grid_spec(args.x)
     if args.family == "t":
-        h = chain_t_handle(g, args.t, args.j, args.m, part=args.part,
-                           quad=cfg.quad)
+        h = chain_t_handle(g, args.t, args.j, args.m, part=args.part)
         label = f"p_({args.t};{args.j},{args.m})[{args.part}]"
     else:
-        h = chain_az_handle(g, args.z, args.i, args.k, args.jj, quad=cfg.quad)
+        h = chain_az_handle(g, args.z, args.i, args.k, args.jj)
         label = f"p_(a,{args.z};{args.i}:{args.k}:{args.jj})"
     rows = [(float(x), h.eval(float(x))) for x in xs]
     _emit(
@@ -241,7 +249,7 @@ def _cmd_dominate(args, cfg: RunConfig) -> int:
         t_grid = _parse_grid_spec(args.t_grid)
     rep = check_dominance(
         nu1, nu2, cone, s=args.s, z=args.z, t_grid=t_grid,
-        tol_eq=cfg.tol_eq, quad=cfg.quad,
+        tol_eq=cfg.tol_eq,
     )
     payload = {
         "op": "dominate",
@@ -372,7 +380,7 @@ def _cmd_selftest(args, cfg: RunConfig) -> int:
 
 def _cmd_finiteness(args, cfg: RunConfig) -> int:
     g = gauge_from_dict(_load_json(args.gauges))
-    fs = finiteness_set(g, args.n, quad=cfg.quad, force_probe=args.probe)
+    fs = finiteness_set(g, args.n, force_probe=args.probe)
     rows = [
         [j, m, fs.contains(j, m)]
         for j in range(args.n + 1)
@@ -400,12 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generalized monotone cones, w-polynomials, and "
         "dual-cone dominance checks.",
     )
-    ap.add_argument("--format", choices=["text", "json", "csv"], default=None)
+    ap.add_argument("--format", choices=FORMATS, default=None)
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--tol", type=float, default=None, help="tol_eq override")
     ap.add_argument("--grid", type=int, default=None, help="default grid size")
-    ap.add_argument("--quad-abs", type=float, default=None)
-    ap.add_argument("--quad-rel", type=float, default=None)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("wpoly", help="evaluate a chain polynomial")
@@ -493,23 +499,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> RunConfig:
+    """The GMONO_CONFIG file's settings, overridden by the global flags."""
     base = {}
     path = os.environ.get("GMONO_CONFIG")
     if path and os.path.exists(path):
         with open(path) as fh:
-            base.update(json.load(fh))
-    merged = {
-        "tol_eq": args.tol if args.tol is not None else base.get("tol_eq", 1e-9),
-        "quad_abs": args.quad_abs
-        if args.quad_abs is not None
-        else base.get("quad_abs", 1e-10),
-        "quad_rel": args.quad_rel
-        if args.quad_rel is not None
-        else base.get("quad_rel", 1e-10),
-        "grid": args.grid if args.grid is not None else base.get("grid", 512),
-        "seed": args.seed if args.seed is not None else base.get("seed", 0),
-        "fmt": args.format if args.format is not None else base.get("format", "text"),
-    }
+            base = json.load(fh)
+        if not isinstance(base, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
+        unknown = sorted(set(base) - set(_CONFIG_KEYS))
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}; allowed: "
+                             f"{', '.join(_CONFIG_KEYS)}")
+    merged = {_CONFIG_KEYS[k]: v for k, v in base.items()}
+    flags = {"tol_eq": args.tol, "grid": args.grid, "seed": args.seed,
+             "fmt": args.format}
+    merged.update((k, v) for k, v in flags.items() if v is not None)
     return RunConfig(**merged)
 
 
@@ -521,7 +526,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
         cfg = _config_from(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         return _input_error(str(exc))
     try:
         return args.fn(args, cfg)

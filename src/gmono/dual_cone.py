@@ -43,9 +43,7 @@ from .gderiv import ConeSpec, FunctionRep, fn_from_wpoly
 from .intervals import UnitGauge
 from .measures import MeasureRep, NormalPart, PoissonPart, admissibility, gmoment
 from .wpoly import (
-    DEFAULT_QUAD,
     POSITIVE,
-    QuadConfig,
     WPolyHandle,
     chain_az_handle,
     chain_t_handle,
@@ -193,7 +191,6 @@ def check_dominance(
     z: Optional[float] = None,
     t_grid: Optional[Sequence[float]] = None,
     tol_eq: float = 1e-9,
-    quad: QuadConfig = DEFAULT_QUAD,
 ) -> DominanceReport:
     """Decide (nu1, nu2) membership in the dual cone, general gauges.
 
@@ -225,7 +222,7 @@ def check_dominance(
         t_grid = default_t_grid(nu1, nu2, iv)
     t_grid = sorted(float(t) for t in t_grid)
 
-    fs = finiteness_set(g, n, quad)
+    fs = finiteness_set(g, n)
     pure_atoms = nu1.is_pure_atoms and nu2.is_pure_atoms
     rows = {"i": [], "ii": [], "iii": []}
     first_failure = []  # [(witness, description)] of the first failing row
@@ -240,22 +237,22 @@ def check_dominance(
         return gmoment(nu1, h), gmoment(nu2, h)
 
     def positive_part(t):
-        h = chain_t_handle(g, t, 0, n, part=POSITIVE, quad=quad)
+        h = chain_t_handle(g, t, 0, n, part=POSITIVE)
         return fn_from_wpoly(h), f"p+_(t;0,{n}) at t={t:.6g}"
 
     try:
         for i in range(k):
-            h = chain_t_handle(g, s, 0, i, quad=quad)
+            h = chain_t_handle(g, s, 0, i)
             label = f"p_(s;0,{i})"
             add(_equal_row("i", label, *moments(h), tol_eq),
                 lambda row: _signed_witness(h, row.gap, label))
         for j in fs.F_kn(k):
-            h = chain_az_handle(g, z, 0, k, j, quad=quad)
+            h = chain_az_handle(g, z, 0, k, j)
             label = f"p_(a,z;0:{k}:{j})"
             add(_ordered_row("ii", label, *moments(h), tol_eq),
                 lambda row: (fn_from_wpoly(h), label))
-        fam = chain_t_two_arg(g, 0, n, quad)
-        for t, v1, v2 in zip(t_grid, *_grid_rows((nu1, nu2), g, n, fam, t_grid, quad)):
+        fam = chain_t_two_arg(g, 0, n)
+        for t, v1, v2 in zip(t_grid, *_grid_rows((nu1, nu2), g, n, fam, t_grid)):
             add(_ordered_row("iii", f"t={t:.17g}", v1, v2, tol_eq),
                 lambda row: positive_part(t))
     except UndefinedMomentError:
@@ -306,7 +303,7 @@ def _signed_witness(h: WPolyHandle, gap: float, label: str):
     return fn, f"{'-' if sign < 0 else ''}{label}"
 
 
-def _grid_rows(nus: Sequence[MeasureRep], g, n: int, fam, t_grid, quad) -> list:
+def _grid_rows(nus: Sequence[MeasureRep], g, n: int, fam, t_grid) -> list:
     """nu(p+_{t;0,n}) at each t of t_grid, one list per measure of nus.
 
     Every measure whose part has a batch is one row over the whole grid,
@@ -347,7 +344,7 @@ def _grid_rows(nus: Sequence[MeasureRep], g, n: int, fam, t_grid, quad) -> list:
         if p is not None and isinstance(nu.continuous, NormalPart):
             row += nu.continuous.translated_pm(*ring, ts)
         for i in np.flatnonzero(~np.isfinite(row)).tolist():
-            h = chain_t_handle(g, t_grid[i], 0, n, part=POSITIVE, quad=quad)
+            h = chain_t_handle(g, t_grid[i], 0, n, part=POSITIVE)
             row[i] = gmoment(nu, h)
         rows.append(row.tolist())
     return rows
@@ -475,7 +472,6 @@ def oracle_equivalence(
     z: Optional[float] = None,
     tol: float = 1e-7,
     tol_eq: float = 1e-11,
-    quad: QuadConfig = DEFAULT_QUAD,
 ) -> OracleReport:
     """Cross-check the dominance verdict against sampled cone members.
 
@@ -495,14 +491,12 @@ def oracle_equivalence(
         s = _pooled_median(nu1, nu2, iv)
     if z is None:
         z = s
-    report = check_dominance(
-        nu1, nu2, cone, s=s, z=z, tol_eq=tol_eq, quad=quad
-    )
+    report = check_dominance(nu1, nu2, cone, s=s, z=z, tol_eq=tol_eq)
     rng = np.random.default_rng(seed)
-    fs = finiteness_set(g, n, quad)
-    basis_low = [chain_t_handle(g, s, 0, i, quad=quad) for i in range(k)]
-    basis_az = [chain_az_handle(g, z, 0, k, j, quad=quad) for j in fs.F_kn(k)]
-    fam = chain_t_two_arg(g, 0, n, quad)
+    fs = finiteness_set(g, n)
+    basis_low = [chain_t_handle(g, s, 0, i) for i in range(k)]
+    basis_az = [chain_az_handle(g, z, 0, k, j) for j in fs.F_kn(k)]
+    fam = chain_t_two_arg(g, 0, n)
     atoms1 = [(x, m) for x, m in nu1.atoms if m > 0]
     atoms2 = [(x, m) for x, m in nu2.atoms if m > 0]
     locs = [x for x, _ in atoms1 + atoms2]

@@ -41,7 +41,7 @@ from ._jets import (
 from .errors import DomainError, PreconditionError, malformed_input_as
 from .intervals import GaugeSpec, Interval, ScaleMap, default_grid, transport_gauges
 from .measures import MeasureRep
-from .wpoly import DEFAULT_QUAD, QuadConfig, WPolyHandle, chain_t_two_arg
+from .wpoly import WPolyHandle, chain_t_two_arg
 
 __all__ = [
     "FunctionRep",
@@ -301,18 +301,16 @@ class MixtureLevels:
     default y = -inf gives the untruncated mixture of positive parts.
     """
 
-    def __init__(self, mu: MeasureRep, g: GaugeSpec, n: int,
-                 quad: QuadConfig = DEFAULT_QUAD):
+    def __init__(self, mu: MeasureRep, g: GaugeSpec, n: int):
         self.mu = mu
         self.g = g
         self.n = n
-        self.quad = quad
         self._fams = {}
 
     def value(self, level: int, x: float, y: float = -math.inf) -> float:
         fn = self._fams.get(level)
         if fn is None:
-            fn = self._fams[level] = chain_t_two_arg(self.g, level, self.n, self.quad)
+            fn = self._fams[level] = chain_t_two_arg(self.g, level, self.n)
         mu = self.mu
         acc = 0.0
         for t, mass in mu.atoms:
@@ -349,7 +347,6 @@ def mixture_function(
     g: GaugeSpec,
     i: int,
     n: int,
-    quad: QuadConfig = DEFAULT_QUAD,
 ) -> FunctionRep:
     """h_{i;mu}(x) = integral mu(dt) p+_{t;i,n}(x).
 
@@ -363,7 +360,7 @@ def mixture_function(
     if not 0 <= i <= n:
         raise DomainError("need 0 <= i <= n")
 
-    levels = MixtureLevels(mu, g, n, quad)
+    levels = MixtureLevels(mu, g, n)
 
     def value(x: float) -> float:
         return levels.value(i, x)

@@ -25,14 +25,7 @@ from .errors import DomainError, PreconditionError
 from .gderiv import ConeSpec, FunctionRep, MixtureLevels, gauged_derivative
 from .intervals import default_grid
 from .measures import MeasureRep
-from .wpoly import (
-    DEFAULT_QUAD,
-    QuadConfig,
-    chain_az_handle,
-    chain_t_handle,
-    finiteness_set,
-    interpolate,
-)
+from .wpoly import chain_az_handle, chain_t_handle, finiteness_set, interpolate
 
 __all__ = [
     "TaylorData",
@@ -58,11 +51,10 @@ class TaylorData:
     f: FunctionRep
     limits_at_a: dict  # i -> f^(i)(a+), for i in [k, n]
     dfn: MeasureRep  # Stieltjes measure of f^(n)
-    quad: QuadConfig = DEFAULT_QUAD
 
     def __post_init__(self):
         k, n = self.cone.k, self.cone.n
-        fs = finiteness_set(self.cone.gauges, n, self.quad)
+        fs = finiteness_set(self.cone.gauges, n)
         for i in range(k, n + 1):
             v = self.limits_at_a.get(i)
             if v is None or v < 0 or not math.isfinite(v):
@@ -154,7 +146,6 @@ def taylor_data(
     cone: ConeSpec,
     limits_at_a: Optional[dict] = None,
     dfn: Optional[MeasureRep] = None,
-    quad: QuadConfig = DEFAULT_QUAD,
     window=None,
 ) -> TaylorData:
     """Assemble TaylorData, estimating what is not supplied.
@@ -186,7 +177,7 @@ def taylor_data(
                 "needs an explicit window"
             )
         dfn = dfn_from_derivative(fn_at, iv, window=window)
-    return TaylorData(cone, f, dict(limits_at_a), dfn, quad)
+    return TaylorData(cone, f, dict(limits_at_a), dfn)
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +200,9 @@ def taylor_expand(td: TaylorData, j: int, x: float):
         c = td.limits_at_a.get(i, 0.0)
         if c == 0.0:
             continue
-        h = chain_t_handle(g, g.interval.a, j, i, quad=td.quad)
+        h = chain_t_handle(g, g.interval.a, j, i)
         p_val += c * h.eval(x)
-    h_val = MixtureLevels(td.dfn, g, n, td.quad).value(j, x)
+    h_val = MixtureLevels(td.dfn, g, n).value(j, x)
     return p_val, h_val
 
 
@@ -247,20 +238,20 @@ def build_approx(td: TaylorData, z: float, y: float) -> ApproxHandle:
     k, n = td.cone.k, td.cone.n
     if not (iv.a < y <= z < iv.b):
         raise DomainError(f"need a < y <= z < b, got y={y}, z={z}")
-    hfam = MixtureLevels(td.dfn, g, n, td.quad)
+    hfam = MixtureLevels(td.dfn, g, n)
 
     az_terms = []
     for j in td.fs.F_kn(k):
         c = td.limits_at_a.get(j, 0.0)
         if c != 0.0:
-            az_terms.append((c, chain_az_handle(g, z, 0, k, j, td.quad)))
+            az_terms.append((c, chain_az_handle(g, z, 0, k, j)))
 
     # Deficit interpolant: c_i = f^(i)(z) - h_{i,y}(z), i < k.
     cs = []
     for i in range(k):
         fi = gauged_derivative(td.f, g, i, z)
         cs.append(fi - hfam.value(i, z, y))
-    q = interpolate(g, z, cs, td.quad)
+    q = interpolate(g, z, cs)
 
     def P_value(x: float) -> float:
         return q.eval(x) + math.fsum(c * h.eval(x) for c, h in az_terms)

@@ -70,8 +70,6 @@ __all__ = [
     "FULL",
     "POSITIVE",
     "NEGATIVE",
-    "QuadConfig",
-    "DEFAULT_QUAD",
     "WPolyHandle",
     "XRing",
     "FinitenessSet",
@@ -98,21 +96,11 @@ _FLOAT_RANGE = (OverflowError, ZeroDivisionError, GaugeError)  # range breakdown
 # for it only while the largest value on the query's panel is within this
 # factor of the query's value.
 _SCALE_FIT = 1e3
-
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances for the numeric evaluation routes."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("tolerances must be positive")
-
-
-DEFAULT_QUAD = QuadConfig()
+# The numeric route's tolerance for values of a given size, absolute plus
+# relative (``_tolerance``): the panels' two-order agreement test and the
+# divergence probe's decision rules.
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-10
 
 
 def _safe_exp(u: float) -> float:
@@ -330,7 +318,6 @@ class PanelChain:
         levels: Sequence[int],
         breaks: np.ndarray,
         start_values: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        quad: QuadConfig = DEFAULT_QUAD,
         anchor: Optional[float] = None,
     ):
         if len(breaks) < 2:
@@ -347,7 +334,6 @@ class PanelChain:
             breaks = np.insert(breaks, np.searchsorted(breaks, self.anchor),
                                self.anchor)
         self.start_values = start_values
-        self.quad = quad
         self._coeffs = None  # the anchored chain per panel, composed on first eval
         self._build(breaks[:-1], breaks[1:])
 
@@ -397,7 +383,7 @@ class PanelChain:
             back = int(np.searchsorted(a, self.anchor))
             low, low_row = self._ends(a, b, back, 32)
             high, high_row = self._ends(a, b, back, 48)
-            ok = np.all(np.abs(low - high) <= _tolerance(self.quad, np.abs(high)),
+            ok = np.all(np.abs(low - high) <= _tolerance(np.abs(high)),
                         axis=(1, 2))
             keep = slice(None) if ok.all() else ok  # no copy when every panel passed
             done.append((a[keep], high[keep], low_row[keep], high_row[keep]))
@@ -435,7 +421,7 @@ class PanelChain:
             cv = high @ _at_probes(48)
             scale = np.max(np.abs(cv), axis=1)
             err = np.max(np.abs(low @ _at_probes(32) - cv), axis=1)
-            bad = np.flatnonzero(~(err <= _tolerance(self.quad, scale)))
+            bad = np.flatnonzero(~(err <= _tolerance(scale)))
             if not len(bad):
                 self._coeffs, self._scale = high, scale
                 return
@@ -482,9 +468,9 @@ class PanelChain:
         return v * (self.gauges.value(self.levels[0], x) if final is None else final)
 
 
-def _tolerance(quad: QuadConfig, scale):
-    """The two-order agreement test's tolerance for values of size scale."""
-    return quad.abs_tol + quad.rel_tol * (1e-30 + scale)
+def _tolerance(scale):
+    """The numeric route's tolerance for values of size scale."""
+    return _ABS_TOL + _REL_TOL * (1e-30 + scale)
 
 
 def _panel_breaks(lo: float, hi: float) -> np.ndarray:
@@ -569,12 +555,11 @@ class _Descent:
     """
 
     def __init__(self, g: GaugeSpec, start, levels: Sequence[int],
-                 anchor: float, quad: QuadConfig):
+                 anchor: float):
         self.g = g
         self.start = start
         self.levels = list(levels)
         self.anchor = anchor
-        self.quad = quad
         self.divergent = False
         self._exact = None
         self._log_base = _log_base(g)
@@ -604,7 +589,7 @@ class _Descent:
         if math.isinf(t) or (t == iv.a and not iv.left_closed):
             # Anchored at a, so this is the first chain: start is a level.
             frame = _left_frame(g, start)
-            finite, depth = _probe_left_chain(frame, levels[-1], start, self.quad)
+            finite, depth = _probe_left_chain(frame, levels[-1], start)
             if not finite:
                 self.divergent = True
             else:
@@ -663,8 +648,7 @@ class _Descent:
             # may overflow near a) and that still leaves a negligible tail.
             for cut in [lo] + [c for c in cuts[1:] if c > lo]:
                 try:
-                    self._panel = PanelChain(g, levels, _panel_breaks(cut, hi),
-                                             quad=self.quad)
+                    self._panel = PanelChain(g, levels, _panel_breaks(cut, hi))
                     return self._panel
                 except _FLOAT_RANGE as exc:
                     err = exc
@@ -679,7 +663,6 @@ class _Descent:
                 levels=levels,
                 breaks=_panel_breaks(lo, hi),
                 start_values=start,
-                quad=self.quad,
                 anchor=ref,
             )
         else:
@@ -720,11 +703,11 @@ class _OneLevel:
         return self.g.value(self.j, x) * (self.anti(x) - self.lo_val)
 
 
-def _chain_t(g: GaugeSpec, t: float, j: int, m: int, quad: QuadConfig) -> _Descent:
+def _chain_t(g: GaugeSpec, t: float, j: int, m: int) -> _Descent:
     """p_{t;j,m}: w_m descended through levels m-1, ..., j from t."""
     if j > m:
         raise DomainError("need j <= m")
-    return _Descent(g, m, range(m - 1, j - 1, -1), t, quad)
+    return _Descent(g, m, range(m - 1, j - 1, -1), t)
 
 
 def _ring_rate(g: GaugeSpec) -> Callable[[int], float]:
@@ -775,13 +758,12 @@ def _descend(ring: ExpPoly, g: GaugeSpec, levels: Sequence[int], anchor: float):
 # Divergence probe for a generic left-anchored chain
 # ---------------------------------------------------------------------------
 
-def _strongly_decayed(incs, vals, quad: QuadConfig) -> bool:
+def _strongly_decayed(incs, vals) -> bool:
     """Two-increment early acceptance: the latest window added next to
     nothing and shrank by 10x, so the remaining tail is negligible."""
     if len(incs) < 2:
         return False
-    scale = abs(vals[-1]) + 1.0
-    tol = quad.abs_tol + quad.rel_tol * scale
+    tol = _tolerance(abs(vals[-1]) + 1.0)
     return 0.0 <= incs[-1] <= tol and incs[-1] <= 0.1 * incs[-2]
 
 
@@ -804,11 +786,10 @@ class _WindowSweep:
     happens.
     """
 
-    def __init__(self, frame: _LeftFrame, lo: int, hi: int, quad: QuadConfig):
+    def __init__(self, frame: _LeftFrame, lo: int, hi: int):
         self.frame = frame
         self.lo = lo
         self.levels = range(lo, hi + 1)
-        self.quad = quad
         self._at: list = []  # T(L_i, x0) for the windows built so far
         self._broken: Optional[Exception] = None  # what stopped the next window
         self._own: dict = {}  # (j, m) -> the pair's own sweep past a breakdown
@@ -822,7 +803,7 @@ class _WindowSweep:
                 raise self._broken
             own = self._own.get((j, m))
             if own is None:
-                own = self._own[j, m] = _WindowSweep(self.frame, j, m, self.quad)
+                own = self._own[j, m] = _WindowSweep(self.frame, j, m)
                 block = slice(j - self.lo, m - self.lo + 1)
                 own._at = [acc[block, block] for acc in self._at]
             return own.value(i, j, m)
@@ -837,7 +818,7 @@ class _WindowSweep:
         top = f.x0 if i == 0 else f.anchor_at(i - 1)
         try:
             mats = PanelChain(f.gauges, self.levels,
-                              _panel_breaks(f.anchor_at(i), top), quad=self.quad).mats
+                              _panel_breaks(f.anchor_at(i), top)).mats
         except (*_FLOAT_RANGE, QuadratureError) as exc:
             self._broken = exc
             return
@@ -848,7 +829,7 @@ class _WindowSweep:
         self._at.append(acc)
 
 
-def _probe_left_chain(frame: _LeftFrame, j: int, m: int, quad: QuadConfig,
+def _probe_left_chain(frame: _LeftFrame, j: int, m: int,
                       sweep: Optional[_WindowSweep] = None):
     """Decide the left-endpoint dichotomy by truncated-anchor probing.
 
@@ -864,7 +845,7 @@ def _probe_left_chain(frame: _LeftFrame, j: int, m: int, quad: QuadConfig,
     which several pairs of one frame may share.
     """
     if sweep is None:
-        sweep = _WindowSweep(frame, j, m, quad)
+        sweep = _WindowSweep(frame, j, m)
     x0, floor, anchor_at = frame.x0, frame.floor, frame.anchor_at
     vals, incs = [], []
     decided_at = None
@@ -880,7 +861,7 @@ def _probe_left_chain(frame: _LeftFrame, j: int, m: int, quad: QuadConfig,
                 return True, i - 1
             if len(incs) >= 2 and incs[-1] > 1.5 * incs[-2] > 0:
                 return False, None
-            if _strongly_decayed(incs, vals, quad):
+            if _strongly_decayed(incs, vals):
                 return True, i - 1
             raise InconclusiveError(
                 f"divergence probe for p_(a;{j},{m}) hit float range limits "
@@ -898,12 +879,11 @@ def _probe_left_chain(frame: _LeftFrame, j: int, m: int, quad: QuadConfig,
             incs.append(vals[-1] - vals[-2])
         if len(incs) >= 2 and incs[-1] > 100.0 * incs[-2] > 0:
             return False, None  # explosive growth of monotone truncations
-        if _strongly_decayed(incs, vals, quad):
+        if _strongly_decayed(incs, vals):
             return True, i
         if len(incs) >= 3:
             d1, d2, d3 = incs[-3], incs[-2], incs[-1]
-            scale = abs(vals[-1]) + 1.0
-            tol = quad.abs_tol + quad.rel_tol * scale
+            tol = _tolerance(abs(vals[-1]) + 1.0)
             if d3 <= tol:
                 return True, i
             if d1 > 0 and d2 > 0 and d2 / d1 <= 0.75 and d3 / d2 <= 0.75:
@@ -973,7 +953,7 @@ class FinitenessSet:
 
 
 def finiteness_set(
-    g: GaugeSpec, n: int, quad: QuadConfig = DEFAULT_QUAD, force_probe: bool = False
+    g: GaugeSpec, n: int, force_probe: bool = False
 ) -> FinitenessSet:
     """Finiteness pattern of p_{a;j,m} for 0 <= j <= m <= n.
 
@@ -1016,14 +996,14 @@ def finiteness_set(
     # that the probe's GaugeError can only mean a range breakdown.
     g.shifted(n)
     frame = _left_frame(g, n)
-    sweep = _WindowSweep(frame, 0, n, quad)
+    sweep = _WindowSweep(frame, 0, n)
     for m in range(n + 1):
         put(m, m, True)
         for j in range(m - 1, -1, -1):
             if table[j + 1][m - j - 1] is False:
                 put(j, m, False)  # dichotomy propagates downward
                 continue
-            finite, _ = _probe_left_chain(frame, j, m, quad, sweep)
+            finite, _ = _probe_left_chain(frame, j, m, sweep)
             put(j, m, finite)
     return FinitenessSet(g, n, _freeze(table), "probe")
 
@@ -1053,7 +1033,6 @@ class WPolyHandle:
     gauges: GaugeSpec
     family: tuple
     part: str = FULL
-    quad: QuadConfig = DEFAULT_QUAD
     _state: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -1093,7 +1072,7 @@ class WPolyHandle:
     def _full_evaluator(self):
         ev = self._state.get("ev")
         if ev is None:
-            ev = _build_evaluator(self.gauges, self.family, self.quad)
+            ev = _build_evaluator(self.gauges, self.family)
             self._state["ev"] = ev
         return ev
 
@@ -1129,21 +1108,19 @@ class WPolyHandle:
         if self.tag == "chain_t":
             _, t, j, m = self.family
             if s <= m - j:
-                out = WPolyHandle(g, ("chain_t", t, j + s, m), self.part, self.quad)
+                out = WPolyHandle(g, ("chain_t", t, j + s, m), self.part)
         elif self.tag == "chain_az":
             _, z, i, k, j = self.family
             lvl = i + s
             if lvl <= j:
                 if lvl >= k:
-                    out = WPolyHandle(
-                        g, ("chain_t", g.interval.a, lvl, j), FULL, self.quad
-                    )
+                    out = WPolyHandle(g, ("chain_t", g.interval.a, lvl, j))
                 else:
-                    out = WPolyHandle(g, ("chain_az", z, lvl, k, j), FULL, self.quad)
+                    out = WPolyHandle(g, ("chain_az", z, lvl, k, j))
         else:
             _, z, coeffs = self.family
             terms = tuple(
-                (c, WPolyHandle(g, ("chain_t", z, s, l), FULL, self.quad))
+                (c, WPolyHandle(g, ("chain_t", z, s, l)))
                 for l, c in enumerate(coeffs)
                 if c != 0.0 and l >= s
             )
@@ -1194,9 +1171,9 @@ def _x_poly(ev) -> Optional[ExpPoly]:
 class _InterpSum:
     """sum_l c_l p_{z;0,l} via per-term chain evaluators."""
 
-    def __init__(self, g: GaugeSpec, z: float, coeffs, quad: QuadConfig):
+    def __init__(self, g: GaugeSpec, z: float, coeffs):
         self.parts = [
-            (c, _chain_t(g, z, 0, l, quad))
+            (c, _chain_t(g, z, 0, l))
             for l, c in enumerate(coeffs)
             if c != 0.0
         ]
@@ -1205,16 +1182,16 @@ class _InterpSum:
         return math.fsum(c * ev.eval(x) for c, ev in self.parts)
 
 
-def _build_evaluator(g: GaugeSpec, family: tuple, quad: QuadConfig):
+def _build_evaluator(g: GaugeSpec, family: tuple):
     tag = family[0]
     if tag == "chain_t":
         _, t, j, m = family
-        return _chain_t(g, t, j, m, quad)
+        return _chain_t(g, t, j, m)
     if tag == "chain_az":
         _, z, i, k, j = family
         if not i <= k <= j:
             raise DomainError("need i <= k <= j")
-        start = _chain_t(g, g.interval.a, k, j, quad)
+        start = _chain_t(g, g.interval.a, k, j)
         if start.divergent:
             raise PreconditionError(
                 f"(k, j) = ({k}, {j}) is not in the finiteness set; "
@@ -1223,11 +1200,11 @@ def _build_evaluator(g: GaugeSpec, family: tuple, quad: QuadConfig):
         if i == k:
             return start
         if k == j:  # p_{a;k,k} = w_k, so this is p_{z;i,k}
-            return _chain_t(g, z, i, k, quad)
-        return _Descent(g, start, range(k - 1, i - 1, -1), z, quad)
+            return _chain_t(g, z, i, k)
+        return _Descent(g, start, range(k - 1, i - 1, -1), z)
     if tag == "interp":
         _, z, coeffs = family
-        return _InterpSum(g, z, coeffs, quad)
+        return _InterpSum(g, z, coeffs)
     raise DomainError(f"unknown family {tag!r}")
 
 
@@ -1241,7 +1218,6 @@ def chain_t_handle(
     j: int,
     m: int,
     part: str = FULL,
-    quad: QuadConfig = DEFAULT_QUAD,
 ) -> WPolyHandle:
     """Handle for p_{t;j,m}; t must lie in [a, b)."""
     iv = g.interval
@@ -1249,7 +1225,7 @@ def chain_t_handle(
         raise DomainError(f"anchor t={t} not in [{iv.a}, {iv.b})")
     if not 0 <= j <= m:
         raise DomainError("need 0 <= j <= m")
-    return WPolyHandle(g, ("chain_t", float(t), j, m), part, quad)
+    return WPolyHandle(g, ("chain_t", float(t), j, m), part)
 
 
 def chain_az_handle(
@@ -1258,7 +1234,6 @@ def chain_az_handle(
     i: int,
     k: int,
     j: int,
-    quad: QuadConfig = DEFAULT_QUAD,
 ) -> WPolyHandle:
     """Handle for p_{a,z;i:k:j}; requires (k, j) in the finiteness set."""
     iv = g.interval
@@ -1266,7 +1241,7 @@ def chain_az_handle(
         raise DomainError(f"z={z} must lie in the open interval ({iv.a}, {iv.b})")
     if not 0 <= i <= k <= j:
         raise DomainError("need 0 <= i <= k <= j")
-    h = WPolyHandle(g, ("chain_az", float(z), i, k, j), FULL, quad)
+    h = WPolyHandle(g, ("chain_az", float(z), i, k, j))
     h._full_evaluator()  # validates (k, j) in F eagerly
     return h
 
@@ -1283,16 +1258,14 @@ def wpoly_eval_az(
     j: int,
     g: GaugeSpec,
     x: float,
-    quad: QuadConfig = DEFAULT_QUAD,
 ) -> float:
-    return chain_az_handle(g, z, i, k, j, quad).eval(x)
+    return chain_az_handle(g, z, i, k, j).eval(x)
 
 
 def interpolate(
     g: GaugeSpec,
     z: float,
     c: Sequence[float],
-    quad: QuadConfig = DEFAULT_QUAD,
 ) -> WPolyHandle:
     """The unique w-polynomial p of degree <= k with p^(l)(z) = c_l.
 
@@ -1300,7 +1273,7 @@ def interpolate(
     """
     g.interval.require(z, "interpolation point")
     coeffs = tuple(float(v) for v in c)
-    return WPolyHandle(g, ("interp", float(z), coeffs), FULL, quad)
+    return WPolyHandle(g, ("interp", float(z), coeffs))
 
 
 def translated_chain(g: GaugeSpec, j: int, m: int) -> Optional[tuple]:
@@ -1318,9 +1291,7 @@ def translated_chain(g: GaugeSpec, j: int, m: int) -> Optional[tuple]:
     return sigma, _descend(_gauge_ring(g, m), g, range(m - 1, j - 1, -1), 0.0)
 
 
-def chain_t_two_arg(
-    g: GaugeSpec, j: int, m: int, quad: QuadConfig = DEFAULT_QUAD
-) -> Callable:
+def chain_t_two_arg(g: GaugeSpec, j: int, m: int) -> Callable:
     """Return a (t, x) -> p+_{t;j,m}(x) evaluator for finite anchors t: the
     chain's value where x >= t and 0 where x < t.
 
@@ -1370,7 +1341,7 @@ def chain_t_two_arg(
                 return 0.0
             ev = cache.get(t)
             if ev is None:
-                ev = _chain_t(g, t, j, m, quad)
+                ev = _chain_t(g, t, j, m)
                 if len(cache) < 4096:
                     cache[t] = ev
             return ev.eval(x)
@@ -1388,7 +1359,7 @@ def chain_t_two_arg(
                 inner = (t >= iv.a) if iv.left_closed else (t > iv.a)
                 out = np.empty(t.shape)
                 out[~inner] = each(t[~inner], x[~inner])
-                out[inner] = _swept_chain(g, j, m, t[inner], x[inner], quad)
+                out[inner] = _swept_chain(g, j, m, t[inner], x[inner])
                 return out
 
         def family(t, x):
@@ -1404,8 +1375,8 @@ def chain_t_two_arg(
     return family
 
 
-def _swept_chain(g: GaugeSpec, j: int, m: int, t: np.ndarray, x: np.ndarray,
-                 quad: QuadConfig) -> np.ndarray:
+def _swept_chain(g: GaugeSpec, j: int, m: int, t: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
     """p_{t;j,m}(x) at cells with t <= x, from one PanelChain cover of
     [min t, max x] with every distinct t and x as a break.
 
@@ -1418,7 +1389,7 @@ def _swept_chain(g: GaugeSpec, j: int, m: int, t: np.ndarray, x: np.ndarray,
     if not len(xs) or not xs[-1] > ts[0]:
         return np.zeros(t.shape)  # no cell, or x = t in every one
     breaks = np.union1d(_panel_breaks(ts[0], xs[-1]), np.union1d(ts, xs))
-    cover = PanelChain(g, range(j, m + 1), breaks, quad=quad)
+    cover = PanelChain(g, range(j, m + 1), breaks)
     at_t = np.searchsorted(cover.breaks, ts).tolist()
     at_x = np.searchsorted(cover.breaks, xs).tolist()
     rows = np.zeros((len(xs), m - j + 1))

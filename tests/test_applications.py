@@ -48,6 +48,24 @@ class TestChebRatio:
                 cheb_ratio_quadrature(q), rel=1e-8
             )
 
+    def test_quadrature_goes_through_the_cauchy_part(self, monkeypatch):
+        # The quadrature route integrates against CauchyPart, one
+        # measures._quad call per piece: three integrals, each split at
+        # the kink 0.5.
+        from gmono import measures
+
+        calls = []
+        real = measures._quad
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "_quad", counted)
+        q = RatioQuery("rho", ("tau", 0.5))
+        assert cheb_ratio_quadrature(q) == pytest.approx(cheb_ratio(q), rel=1e-12)
+        assert len(calls) == 6
+
     def test_limits(self):
         assert cheb_ratio(RatioQuery("rho", ("tau", -1e9))) == pytest.approx(
             CHEB_CONSTANT, abs=1e-6

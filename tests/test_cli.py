@@ -366,9 +366,57 @@ class TestSubcommands:
     def test_bad_config_rejected(self, files):
         for argv in (
             ["--tol", "-1", "cheb", "--pair", "rho", "rho"],
+            ["--tol", "nan", "cheb", "--pair", "rho", "rho"],
+            ["--tol", "inf", "cheb", "--pair", "rho", "rho"],
             ["--jobs", "2", "cheb", "--pair", "rho", "rho"],  # no such flag
+            ["--quad-abs", "1e-8", "cheb", "--pair", "rho", "rho"],  # retired
+            ["--quad-rel", "1e-8", "cheb", "--pair", "rho", "rho"],  # retired
         ):
             assert main(argv) == 2, argv
+
+    @pytest.mark.parametrize("content", [
+        '{"tol_eq": "abc"}',
+        '{"tol_eq": NaN}',
+        '{"tol_eq": Infinity}',
+        "[1, 2]",
+        '{"format": "xml"}',
+        '{"grid": 1}',
+        '{"grid": 2.5}',
+        '{"grid": true}',
+        '{"seed": "0"}',
+        '{"seed": -1}',
+        '{"quad_abs": -1}',
+        '{"quad_abs": 1e-10}',  # a retired key is refused, not ignored
+        "{not json",
+    ])
+    def test_bad_config_file_rejected(self, tmp_path, monkeypatch, capsys, content):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(content)
+        monkeypatch.setenv("GMONO_CONFIG", str(cfgfile))
+        assert main(["cheb", "--pair", "rho", "rho"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_config_path_that_is_a_directory_is_two(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GMONO_CONFIG", str(tmp_path))
+        assert main(["cheb", "--pair", "rho", "rho"]) == 2
+
+    def test_python_m_gmono_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gmono.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "gmono", *argv],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=300)
+
+        proc = run("cheb", "--pair", "rho", "rho")
+        assert proc.returncode == 0, proc.stderr
+        assert "384/245" in proc.stdout
+        proc = run("--quad-abs", "1e-8", "cheb", "--pair", "rho", "rho")
+        assert proc.returncode == 2
 
     def test_cheb_text_prints_full_constant(self, capsys):
         main(["cheb", "--pair", "rho", "rho"])
@@ -412,9 +460,10 @@ class TestSubcommands:
 
     def test_config_env_file(self, files, tmp_path, capsys, monkeypatch):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"format": "json"}))
+        cfgfile.write_text(json.dumps({"format": "json", "tol_eq": 1e-6,
+                                       "grid": 64, "seed": 3}))
         monkeypatch.setenv("GMONO_CONFIG", str(cfgfile))
-        main(["cheb", "--pair", "rho", "rho"])
+        assert main(["cheb", "--pair", "rho", "rho"]) == 0
         out = capsys.readouterr().out
         assert json.loads(out)["schema"] == "gmono/1"
 
