@@ -44,8 +44,6 @@ from .wpoly import (
     chain_t_handle,
     finiteness_set,
     interpolate,
-    wpoly_eval,
-    wpoly_eval_az,
 )
 from .gderiv import (
     ConeSpec,

@@ -244,10 +244,6 @@ class MartingaleModel:
             if self.mode == "supermartingale" and mu > 1e-12:
                 raise DomainError("supermartingale mode requires mean <= 0 steps")
 
-    @property
-    def n(self) -> int:
-        return len(self.steps)
-
     def s_total(self) -> float:
         return math.sqrt(math.fsum(st.half_width**2 for st in self.steps))
 
@@ -291,9 +287,6 @@ class MartingaleReport:
     second_moment_sum: float
     mode: str
     mc_stderr: Optional[float] = None
-
-    def worst_margin(self) -> float:
-        return min(r[3] for r in self.rows)
 
 
 def martingale_dominance(

@@ -502,7 +502,7 @@ def _config_from(args) -> RunConfig:
     """The GMONO_CONFIG file's settings, overridden by the global flags."""
     base = {}
     path = os.environ.get("GMONO_CONFIG")
-    if path and os.path.exists(path):
+    if path:
         with open(path) as fh:
             base = json.load(fh)
         if not isinstance(base, dict):

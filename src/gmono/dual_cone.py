@@ -220,6 +220,9 @@ def check_dominance(
         z = s if iv.contains_interior(s) else _pooled_median(nu1, nu2, iv)
     if t_grid is None:
         t_grid = default_t_grid(nu1, nu2, iv)
+    else:
+        for t in t_grid:
+            iv.require(float(t), "t_grid point")
     t_grid = sorted(float(t) for t in t_grid)
 
     fs = finiteness_set(g, n)

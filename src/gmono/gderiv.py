@@ -64,7 +64,6 @@ __all__ = [
 ]
 
 _REAL_LINE = Interval(-math.inf, math.inf)
-_CHECK_TOL = 1e-6  # FunctionRep's consistency and right-continuity checks
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +76,7 @@ class FunctionRep:
 
     ``jet(x, L)`` returns Taylor coefficients of f at x (ordinary
     derivatives divided by factorials); ``gauged_data(j, x)`` returns the
-    j-th gauged derivative directly when the function knows its own chain;
-    ``dfn_measure`` is the Stieltjes measure of the top gauged derivative
-    when available, and ``fn_at`` evaluates that top derivative.
+    j-th gauged derivative directly when the function knows its own chain.
     """
 
     interval: Interval
@@ -87,55 +84,10 @@ class FunctionRep:
     jet: Optional[Callable[[float, int], Jet]] = None
     gauged_data: Optional[Callable[[int, float], float]] = None
     order: float = 0
-    dfn_measure: Optional[MeasureRep] = None
-    fn_at: Optional[Callable[[float], float]] = None
     name: str = ""
 
     def __call__(self, x: float) -> float:
         return self.func(x)
-
-    def derivative(self, x: float, r: int) -> float:
-        """Ordinary r-th derivative from the jet data."""
-        if self.jet is None or r > self.order:
-            raise PreconditionError(
-                f"function {self.name or '<anon>'} has no order-{r} derivative data"
-            )
-        j = self.jet(x, r + 1)
-        return j[r] * math.factorial(r)
-
-    def check_consistency(self, g: GaugeSpec, n: int, grid) -> float:
-        """Max gap between supplied gauged data and the analytic chain."""
-        if self.gauged_data is None or self.jet is None:
-            return 0.0
-        worst = 0.0
-        for x in grid:
-            for j in range(n + 1):
-                a = gauged_derivative(self, g, j, float(x), "analytic_chain")
-                b = self.gauged_data(j, float(x))
-                worst = max(worst, abs(a - b))
-        if worst > _CHECK_TOL:
-            raise PreconditionError(
-                f"supplied gauged data disagrees with the ordinary-derivative "
-                f"chain by {worst:.3g}"
-            )
-        return worst
-
-    def check_fn_right_continuity(self) -> bool:
-        """One-sided limit check of the top derivative at 16 interior probes."""
-        if self.fn_at is None:
-            return True
-        iv = self.interval
-        grid = default_grid(iv, 16)
-        for x in grid:
-            x = float(x)
-            v = self.fn_at(x)
-            steps = [1e-7, 1e-8, 1e-9]
-            vals = [self.fn_at(x + h) for h in steps]
-            if abs(vals[-1] - v) > _CHECK_TOL * (1.0 + abs(v)) and abs(
-                vals[-1] - vals[-2]
-            ) < abs(vals[0] - v):
-                return False
-        return True
 
 
 @dataclass(frozen=True)

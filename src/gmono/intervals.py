@@ -8,7 +8,7 @@ implemented:
 * exponential     -- w_j(x) = exp(lam_j * x);
 * power           -- w_j(x) = (x - a)**(lam_j - 1) for a finite left base a;
 * table           -- an explicit finite list of callables, optionally with
-                     analytic derivative data (smooth_order per entry).
+                     analytic jets and antiderivatives per entry.
 
 A change of scale is a strictly increasing C^1 bijection psi: Itilde -> I.
 It transports gauges by wt_0 = w_0 o psi and wt_j = (w_j o psi) * psi' for
@@ -166,10 +166,6 @@ class GaugeSpec:
         """An antiderivative of w_j, or None."""
         return None
 
-    def smooth_order(self, j: int) -> float:
-        """Number of available analytic ordinary derivatives of w_j."""
-        return 0
-
     # -- shared helpers -------------------------------------------------------
     def value_lenient(self, j: int, x: float) -> float:
         """Like value(), but lets float underflow pass through as 0.0.
@@ -188,9 +184,6 @@ class GaugeSpec:
     def _values(self, j: int, xs: np.ndarray) -> np.ndarray:
         # Subclasses with array arithmetic for w_j override this loop.
         return np.array([self.value_lenient(j, x) for x in xs.tolist()])
-
-    def params(self) -> dict:
-        return {}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} on {self.interval}>"
@@ -224,12 +217,6 @@ class UnitGauge(GaugeSpec):
     def jet(self, j, x, L):
         return jet_const(1.0, L)
 
-    def smooth_order(self, j):
-        return math.inf
-
-    def params(self):
-        return {}
-
 
 class ExponentialGauge(GaugeSpec):
     """w_j(x) = exp(lam_j * x); lam_j = 0 beyond the supplied list."""
@@ -261,12 +248,6 @@ class ExponentialGauge(GaugeSpec):
     def jet(self, j, x, L):
         lam = self.lam(j)
         return jet_exp(jet_scale(jet_var(x, L), lam))
-
-    def smooth_order(self, j):
-        return math.inf
-
-    def params(self):
-        return {"lams": list(self.lams)}
 
 
 class PowerGauge(GaugeSpec):
@@ -320,18 +301,12 @@ class PowerGauge(GaugeSpec):
         u = jet_sub(jet_var(x, L), jet_const(self.base, L))
         return jet_power(u, self.lam(j) - 1.0)
 
-    def smooth_order(self, j):
-        return math.inf
-
-    def params(self):
-        return {"base": self.base, "lams": list(self.lams)}
-
 
 class TableGauge(GaugeSpec):
     """Explicit finite list of gauge functions.
 
     Each entry is a callable w_j; optional per-entry jet evaluators supply
-    analytic derivatives (smooth); optional antiderivatives make one-level
+    analytic derivatives; optional antiderivatives make one-level
     chain integrals exact.  Values are checked to be strictly positive.
     """
 
@@ -343,7 +318,6 @@ class TableGauge(GaugeSpec):
         funcs: Sequence[Callable[[float], float]],
         jets: Optional[Sequence[Optional[Callable[[float, int], Jet]]]] = None,
         antiderivs: Optional[Sequence[Optional[Callable[[float], float]]]] = None,
-        smooth_orders: Optional[Sequence[float]] = None,
         name: str = "",
     ):
         if not funcs:
@@ -353,11 +327,6 @@ class TableGauge(GaugeSpec):
         self.jets = tuple(jets) if jets is not None else (None,) * len(funcs)
         self.antiderivs = (
             tuple(antiderivs) if antiderivs is not None else (None,) * len(funcs)
-        )
-        self._smooth = (
-            tuple(smooth_orders)
-            if smooth_orders is not None
-            else tuple(math.inf if jf is not None else 0 for jf in self.jets)
         )
         self.name = name
 
@@ -399,7 +368,6 @@ class TableGauge(GaugeSpec):
             self.funcs[i:],
             self.jets[i:],
             self.antiderivs[i:],
-            self._smooth[i:],
             name=f"{self.name}>>{i}" if self.name else "",
         )
 
@@ -411,12 +379,6 @@ class TableGauge(GaugeSpec):
 
     def antideriv(self, j):
         return self.antiderivs[self._entry(j)]
-
-    def smooth_order(self, j):
-        return self._smooth[self._entry(j)]
-
-    def params(self):
-        return {"name": self.name, "entries": len(self.funcs)}
 
 
 # ---------------------------------------------------------------------------
@@ -564,15 +526,7 @@ def transport_gauges(g: GaugeSpec, m: ScaleMap, n_entries: int = 16) -> TableGau
 
     funcs = [make_value(j) for j in range(n_entries)]
     jets = [make_jet(j) for j in range(n_entries)]
-    smooth = [g.smooth_order(j) if m.psi_jet is not None else 0 for j in range(n_entries)]
-    return TableGauge(
-        m.domain,
-        funcs,
-        jets,
-        antiderivs=None,
-        smooth_orders=smooth,
-        name=f"transport[{m.name}]",
-    )
+    return TableGauge(m.domain, funcs, jets, name=f"transport[{m.name}]")
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +565,6 @@ def arctan_cheb_gauges() -> TableGauge:
         [w0, w1],
         jets=[w0_jet, w1_jet],
         antiderivs=[None, math.atan],
-        smooth_orders=[math.inf, math.inf],
         name="arctan_cheb",
     )
 
@@ -644,7 +597,6 @@ def stein_gauges() -> TableGauge:
         [lambda x: 1.0, inv_phi, phi],
         jets=[lambda x, L: jet_const(1.0, L), inv_phi_jet, phi_jet],
         antiderivs=[lambda x: x, None, None],
-        smooth_orders=[math.inf, math.inf, math.inf],
         name="stein",
     )
 

@@ -150,25 +150,20 @@ def taylor_data(
 ) -> TaylorData:
     """Assemble TaylorData, estimating what is not supplied.
 
-    A missing top-derivative measure is recovered from fn_at, or from the
-    function's own order-n gauged derivative, by adaptive differencing
-    inside ``window`` (mandatory when the interval is unbounded and no
-    measure is given).
+    A missing top-derivative measure ``dfn`` is recovered from the
+    function's own order-n gauged derivative (from its jet or gauged data)
+    by differencing inside ``window`` (mandatory when the interval is
+    unbounded).
     """
     if limits_at_a is None:
         limits_at_a = estimate_limits_at_a(f, cone)
     if dfn is None:
-        dfn = f.dfn_measure
-    if dfn is None:
-        fn_at = f.fn_at
-        if fn_at is None and (f.jet is not None or f.gauged_data is not None):
-            g, n = cone.gauges, cone.n
-            fn_at = lambda x: gauged_derivative(f, g, n, x)
-        if fn_at is None:
+        if f.jet is None and f.gauged_data is None:
             raise PreconditionError(
                 "need the top-derivative measure or an evaluable top derivative"
             )
-        iv = cone.gauges.interval
+        g, n = cone.gauges, cone.n
+        iv = g.interval
         if window is None and not (
             math.isfinite(iv.a) and math.isfinite(iv.b)
         ):
@@ -176,7 +171,9 @@ def taylor_data(
                 "discretizing the top derivative on an unbounded interval "
                 "needs an explicit window"
             )
-        dfn = dfn_from_derivative(fn_at, iv, window=window)
+        dfn = dfn_from_derivative(
+            lambda x: gauged_derivative(f, g, n, x), iv, window=window
+        )
     return TaylorData(cone, f, dict(limits_at_a), dfn)
 
 

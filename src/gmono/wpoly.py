@@ -73,8 +73,6 @@ __all__ = [
     "WPolyHandle",
     "XRing",
     "FinitenessSet",
-    "wpoly_eval",
-    "wpoly_eval_az",
     "finiteness_set",
     "interpolate",
     "chain_t_handle",
@@ -1045,15 +1043,6 @@ class WPolyHandle:
     def tag(self) -> str:
         return self.family[0]
 
-    @property
-    def degree(self) -> int:
-        if self.tag == "chain_t":
-            return self.family[3] - self.family[2]
-        if self.tag == "chain_az":
-            _, _, i, _, j = self.family
-            return j - i
-        return len(self.family[2]) - 1
-
     # -- evaluation -----------------------------------------------------------
     def eval(self, x: float) -> float:
         """Value at x; +inf signals analytic divergence of the chain."""
@@ -1244,22 +1233,6 @@ def chain_az_handle(
     h = WPolyHandle(g, ("chain_az", float(z), i, k, j))
     h._full_evaluator()  # validates (k, j) in F eagerly
     return h
-
-
-def wpoly_eval(p: WPolyHandle, x: float) -> float:
-    """Evaluate a handle; +inf means the defining integral diverges."""
-    return p.eval(x)
-
-
-def wpoly_eval_az(
-    z: float,
-    i: int,
-    k: int,
-    j: int,
-    g: GaugeSpec,
-    x: float,
-) -> float:
-    return chain_az_handle(g, z, i, k, j).eval(x)
 
 
 def interpolate(

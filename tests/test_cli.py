@@ -197,6 +197,29 @@ class TestExitCodes:
                     "--j", "0", "--m", "2", "--x", spec]
         assert main(argv) == 2
 
+    @pytest.mark.parametrize("lo, spec", [
+        ("-inf", ["--t-grid", "nan"]),
+        ("-inf", ["--t-grid", "inf"]),
+        ("-inf", ["--t-grid=nan,0"]),
+        (0, ["--t-grid=-5,-1,1"]),
+    ], ids=["nan", "inf", "nan-and-zero", "left-of-a"])
+    def test_t_grid_outside_the_interval_is_two(self, tmp_path, capsys, lo, spec):
+        iv = {"a": lo, "b": "inf"}
+        paths = {}
+        for name, payload in [
+            ("gauges", {"interval": iv, "kind": "unit", "params": []}),
+            ("nu1", {"interval": iv, "atoms": [[0.5, 0.5], [1.5, 0.5]]}),
+            ("nu2", {"interval": iv, "atoms": [[1.0, 1.0]]}),
+        ]:
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(payload))
+        code = main(["dominate", "--nu1", str(paths["nu1"]), "--nu2",
+                     str(paths["nu2"]), "--gauges", str(paths["gauges"]),
+                     "--k", "1", "--n", "1", *spec])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "t_grid point" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("argv", [
         ["cheb"],
         ["cheb", "--pair", "rho", "rho", "--scan", "3"],
@@ -221,6 +244,26 @@ class TestExitCodes:
         assert main(["finiteness", "--gauges", files["gu"], "--n", "2"]) == 4
         err = capsys.readouterr().err
         assert "Traceback" in err and "RuntimeError: injected" in err
+
+    def test_undefined_moment_is_three(self, files, monkeypatch, capsys):
+        def undefined(*args, **kwargs):
+            raise gmono.UndefinedMomentError("injected")
+
+        monkeypatch.setattr(gmono.dual_cone, "gmoment", undefined)
+        code = main(["--format", "json", "dominate", "--nu1", files["nu1"],
+                     "--nu2", files["nu2"], "--gauges", files["gu"],
+                     "--k", "2", "--n", "2"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert payload["verdict"] == "inconclusive" and payload["rows"] == []
+
+    def test_inconclusive_error_is_three(self, files, monkeypatch, capsys):
+        def undecided(*args, **kwargs):
+            raise gmono.InconclusiveError("injected")
+
+        monkeypatch.setattr(gmono.cli, "finiteness_set", undecided)
+        assert main(["finiteness", "--gauges", files["gu"], "--n", "2"]) == 3
+        assert "inconclusive: injected" in capsys.readouterr().err
 
     def test_table_gauge_too_short_for_n_is_two(self, tmp_path, capsys):
         # arctan_cheb has levels 0 and 1 only: n = 3 is an input error, not
@@ -299,6 +342,17 @@ class TestSubcommands:
         assert code == 0
         val = out["rows"][0][1]
         assert val == pytest.approx((math.exp(2) - 3) / 24, rel=1e-10)
+
+    def test_wpoly_t_chain_positive_part(self, files, capsys):
+        # p+_(0;0,2)(x) = x^2/2 right of the anchor and 0 left of it.
+        code = main([
+            "--format", "json", "wpoly", "--gauges", files["gu"],
+            "--family", "t", "--t", "0", "--j", "0", "--m", "2",
+            "--part", "positive", "--x=-1,0.5,2",
+        ])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["rows"] == [[-1.0, 0.0], [0.5, 0.125], [2.0, 2.0]]
 
     def test_taylor_profile(self, files, capsys):
         code = main([
@@ -399,6 +453,14 @@ class TestSubcommands:
     def test_config_path_that_is_a_directory_is_two(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GMONO_CONFIG", str(tmp_path))
         assert main(["cheb", "--pair", "rho", "rho"]) == 2
+
+    def test_missing_config_file_is_two(self, tmp_path, monkeypatch, capsys):
+        # A mistyped path must not silently drop the user's settings.
+        monkeypatch.setenv("GMONO_CONFIG", str(tmp_path / "no-such.json"))
+        assert main(["cheb", "--pair", "rho", "rho"]) == 2
+        assert "input error" in capsys.readouterr().err
+        monkeypatch.setenv("GMONO_CONFIG", "")  # empty means unset
+        assert main(["cheb", "--pair", "rho", "rho"]) == 0
 
     def test_python_m_gmono_runs_the_cli(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(gmono.__file__)))

@@ -164,6 +164,20 @@ class TestConditionStructure:
         for x in (-1.0, 0.0, 1.0):
             assert any(abs(g - x) < 1e-12 for g in grid)
 
+    @pytest.mark.parametrize("lo, t_grid, bad", [
+        (-math.inf, [math.nan], "nan"),
+        (-math.inf, [math.inf], "inf"),
+        (-math.inf, [math.nan, 0.0], "nan"),
+        (0.0, [-5.0, -1.0, 1.0], "-5.0"),
+    ], ids=["nan", "inf", "nan-and-zero", "left-of-a"])
+    def test_t_grid_outside_the_interval_raises(self, lo, t_grid, bad):
+        # A supplied anchor must lie in I; nan and inf lie in no interval.
+        iv = Interval(lo, math.inf)
+        nu1 = MeasureRep(iv, atoms=[(0.5, 0.5), (1.5, 0.5)])
+        nu2 = MeasureRep(iv, atoms=[(1.0, 1.0)])
+        with pytest.raises(DomainError, match=f"t_grid point {bad} outside"):
+            check_dominance(nu1, nu2, ConeSpec(UnitGauge(iv), 1, 1), t_grid=t_grid)
+
 
 class TestExactAtomRefinement:
     def test_between_knot_dip_detected(self):

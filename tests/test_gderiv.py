@@ -9,13 +9,14 @@ import pytest
 from gmono import (
     ExponentialGauge,
     Interval,
+    PowerGauge,
     PreconditionError,
     UnitGauge,
+    arctan_cheb_gauges,
     stein_gauges,
     tan_map,
 )
 from gmono.gderiv import (
-    FunctionRep,
     ConeSpec,
     cone_membership,
     compare_from_point,
@@ -28,7 +29,7 @@ from gmono.gderiv import (
     mixture_function,
     rem_left_example,
 )
-from gmono.measures import MeasureRep
+from gmono.measures import MeasureRep, NormalPart
 from gmono.wpoly import chain_t_handle
 
 R = Interval(-math.inf, math.inf)
@@ -66,6 +67,20 @@ class TestGaugedDerivative:
             a = gauged_derivative(f, GU, j, 0.4, "analytic_chain")
             b = gauged_derivative(f, GU, j, 0.4, "fd_chain", fd_step=1e-4)
             assert b == pytest.approx(a, rel=1e-6)
+
+    @pytest.mark.parametrize("g, levels, xs", [
+        (arctan_cheb_gauges(), 2, (-1.7, 0.4, 2.5)),
+        (PowerGauge(Interval(0.0, math.inf), 0.0, [1.5, 2.0, 0.5]), 3,
+         (0.3, 1.0, 2.5)),
+    ], ids=["arctan_cheb", "power"])
+    def test_gauge_jets_match_fd(self, g, levels, xs):
+        # The gauges' own jets against differences of their values.
+        f = fn_exp(0.3)
+        for j in range(levels):
+            for x in xs:
+                a = gauged_derivative(f, g, j, x, "analytic_chain")
+                b = gauged_derivative(f, g, j, x, "fd_chain", fd_step=1e-3)
+                assert b == pytest.approx(a, rel=1e-6), (j, x)
 
     def test_fd_convergence_order(self):
         # One Richardson step: halving h must cut the error by >= 2^1.8.
@@ -250,6 +265,16 @@ class TestMixtures:
         with pytest.raises(PreconditionError):
             mixture_function(mu, UnitGauge(iv), 0, 2)
 
+    def test_top_derivative_is_the_distribution_function(self):
+        # Order n + 1 of h_(0;mu) is mu((-inf, x]), atoms and normal part.
+        mu = MeasureRep(R, atoms=[(-1.0, 0.25), (0.5, 0.5)],
+                        continuous=NormalPart(0.0, 1.0, 0.25))
+        h = mixture_function(mu, GU, 0, 2)
+        for x in (-2.0, -1.0, 0.0, 0.7):
+            want = (0.25 * (x >= -1.0) + 0.5 * (x >= 0.5)
+                    + 0.25 * 0.5 * math.erfc(-x / math.sqrt(2.0)))
+            assert h.gauged_data(3, x) == pytest.approx(want, rel=1e-12), x
+
 
 class TestCompareFromPoint:
     def test_even_k(self):
@@ -283,42 +308,6 @@ class TestCompareFromPoint:
                 fn_poly([1.0]), fn_poly([0.0]), ConeSpec(GU, 2, 2), 0.0,
                 np.linspace(-1, 1, 11),
             )
-
-
-class TestFunctionRepChecks:
-    def test_consistency_check_passes(self):
-        f = fn_exp()
-        f2 = FunctionRep(
-            interval=f.interval,
-            func=f.func,
-            jet=f.jet,
-            gauged_data=lambda j, x: math.exp(x),
-            order=f.order,
-        )
-        worst = f2.check_consistency(GU, 3, np.linspace(-1, 1, 9))
-        assert worst < 1e-10
-
-    def test_consistency_check_catches_mismatch(self):
-        f = fn_exp()
-        f2 = FunctionRep(
-            interval=f.interval,
-            func=f.func,
-            jet=f.jet,
-            gauged_data=lambda j, x: math.exp(x) + 0.1 * j,
-            order=f.order,
-        )
-        with pytest.raises(PreconditionError):
-            f2.check_consistency(GU, 2, np.linspace(-1, 1, 5))
-
-    def test_right_continuity_probe(self):
-        smooth = FunctionRep(R, lambda x: x, fn_at=lambda x: x)
-        assert smooth.check_fn_right_continuity()
-        step = FunctionRep(
-            R, lambda x: x, fn_at=lambda x: 0.0 if x <= 0.31 else 1.0
-        )
-        # left-continuous jump at a probe point is flagged when hit; the
-        # check is a sanity probe, not a proof, so only assert it runs
-        assert step.check_fn_right_continuity() in (True, False)
 
 
 class TestInvariance:

@@ -380,6 +380,18 @@ class TestReflection:
             direct = sum(m * max(t - x, 0.0) ** 3 for x, m in nu.atoms)
             assert lower_partial_moment(nu, t, 3) == pytest.approx(direct)
 
+    def test_cauchy_is_symmetric(self):
+        nu = MeasureRep(R, continuous=CauchyPart())
+        assert reflected(nu).continuous is nu.continuous
+
+    def test_density_lower_partial(self):
+        # Uniform on [0, 1]: E (0.5 - X)_+^2 = (1/2)^3 / 3.
+        nu = MeasureRep(R, continuous=DensityPart(pdf=lambda x: 1.0,
+                                                  support=(0.0, 1.0)))
+        assert reflected(nu).continuous.support == (-1.0, 0.0)
+        assert lower_partial_moment(nu, 0.5, 2) == pytest.approx(1.0 / 24.0,
+                                                                 rel=1e-12)
+
 
 class TestAdmissibility:
     def test_cauchy_rejected_k2(self):
@@ -448,6 +460,18 @@ class TestMomentsHelpers:
             k**3 * math.exp(-3.0) * 3.0**k / math.factorial(k) for k in range(80)
         )
         assert pp.raw_moment(3) == pytest.approx(oracle, rel=1e-12)
+
+    def test_cauchy_raw_moments(self):
+        nu = MeasureRep(R, continuous=CauchyPart(weight=0.4))
+        assert raw_moment(nu, 0) == 0.4
+        with pytest.raises(UndefinedMomentError):
+            raw_moment(nu, 1)
+
+    def test_density_raw_moments(self):
+        nu = MeasureRep(R, continuous=DensityPart(pdf=lambda x: 1.0,
+                                                  support=(0.0, 1.0)))
+        for r in range(4):
+            assert raw_moment(nu, r) == pytest.approx(1.0 / (r + 1), rel=1e-12)
 
 
 class TestSerialization:

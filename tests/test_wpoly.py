@@ -27,8 +27,6 @@ from gmono import (
     chain_t_handle,
     finiteness_set,
     interpolate,
-    wpoly_eval,
-    wpoly_eval_az,
 )
 from gmono import wpoly
 from gmono.wpoly import FULL, NEGATIVE, POSITIVE, chain_t_two_arg
@@ -788,24 +786,26 @@ class TestChainDerivatives:
 class TestChainAZ:
     def test_unit_neginf_k_eq_j(self):
         # p_{-inf,0;0:k:k}(x) = (x-z)^k/k! with z=0, k=2, x=3 -> 4.5.
-        val = wpoly_eval_az(0.0, 0, 2, 2, UnitGauge(R), 3.0)
+        val = chain_az_handle(UnitGauge(R), 0.0, 0, 2, 2).eval(3.0)
         assert val == pytest.approx(4.5, rel=1e-12)
 
     def test_61_values(self):
         # (x^2/2, (e^x-1-x)/2, (e^(2x)-1-2x)/24) at j in {2, 4, 5}.
         x = 1.0
-        assert wpoly_eval_az(0.0, 0, 2, 2, G61, x) == pytest.approx(0.5, rel=1e-10)
-        assert wpoly_eval_az(0.0, 0, 2, 4, G61, x) == pytest.approx(
+        assert chain_az_handle(G61, 0.0, 0, 2, 2).eval(x) == pytest.approx(
+            0.5, rel=1e-10
+        )
+        assert chain_az_handle(G61, 0.0, 0, 2, 4).eval(x) == pytest.approx(
             (math.e - 2.0) / 2.0, rel=1e-10
         )
-        assert wpoly_eval_az(0.0, 0, 2, 5, G61, x) == pytest.approx(
+        assert chain_az_handle(G61, 0.0, 0, 2, 5).eval(x) == pytest.approx(
             (math.exp(2.0) - 3.0) / 24.0, rel=1e-10
         )
 
     def test_unit_finite_a(self):
         # a=0, i=0, k=1, j=2, z=1: p(x) = (x^2 - z^2)/2; at x=2 -> 3/2.
         g = UnitGauge(Interval(0.0, math.inf))
-        got = wpoly_eval_az(1.0, 0, 1, 2, g, 2.0)
+        got = chain_az_handle(g, 1.0, 0, 1, 2).eval(2.0)
         assert got == pytest.approx(1.5, rel=1e-12)
         # quadrature oracle: integrate p_{0;1,2}(u) = u from z to x.
         oracle, _ = squad(lambda u: u, 1.0, 2.0)
@@ -813,10 +813,10 @@ class TestChainAZ:
 
     def test_vanishes_at_z(self):
         for j in (2, 4, 5):
-            assert wpoly_eval_az(0.0, 0, 2, j, G61, 0.0) == 0.0
+            assert chain_az_handle(G61, 0.0, 0, 2, j).eval(0.0) == 0.0
         # Exactly zero, not the rounding residue of the closed form there.
         g = ExponentialGauge(Interval(0.0, math.inf), [0.5, -1.0, 1.0, 0.3])
-        assert wpoly_eval_az(1.8, 0, 1, 2, g, 1.8) == 0.0
+        assert chain_az_handle(g, 1.8, 0, 1, 2).eval(1.8) == 0.0
 
     def test_power_log_term_is_exact(self):
         # w_1 = 1/x: integrating it from z gives ln(x/z), a polynomial term
@@ -862,7 +862,7 @@ class TestChainAZ:
             return tot / math.factorial(j_)
 
         for x in (0.5, 1.0, 2.5):
-            assert wpoly_eval_az(z, 0, k, j_, g, x) == pytest.approx(
+            assert chain_az_handle(g, z, 0, k, j_).eval(x) == pytest.approx(
                 closed(x), rel=1e-10, abs=1e-12
             )
 
