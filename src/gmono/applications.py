@@ -272,6 +272,16 @@ class MartingaleModel:
         )
 
 
+def _real_grid(t_grid) -> list:
+    """The grid's points as floats; DomainError names the first one that
+    is not a real number."""
+    pts = [float(t) for t in t_grid]
+    line = Interval(-math.inf, math.inf)
+    for t in pts:
+        line.require(t, "t_grid point")
+    return pts
+
+
 def fair_walk(n: int) -> MartingaleModel:
     """n fair +/-1 steps (martingale, s_i = 1)."""
     step = StepLaw((-1.0, 1.0), (0.5, 0.5), 1.0)
@@ -300,8 +310,12 @@ def martingale_dominance(
 
     Exact pmf enumeration by default; mc_samples > 0 switches to a seeded
     Monte Carlo fallback whose report refuses a "holds" verdict when any
-    margin is within three standard errors of zero.
+    margin is within three standard errors of zero.  Every grid point must
+    be a real number.
     """
+    if power < 0:
+        raise DomainError(f"need power >= 0, got {power}")
+    t_grid = _real_grid(t_grid)
     s = model.s_total()
     if s > 0:
         normal_pm = NormalPart(0.0, s).pm
@@ -400,8 +414,11 @@ def left_tail_chain(
 
     The laws: (s/m) Binomial(n, m^2/(n s)) as atoms, (s/m) Poisson(m^2/s),
     and normal(m, sqrt(s)).  Requires 0 < s <= m^2/n.  Per-summand budgets
-    (m_i, s_i) may be given instead of totals.
+    (m_i, s_i) may be given instead of totals.  Every grid point must be a
+    real number.
     """
+    if n < 1:
+        raise DomainError(f"need n >= 1 summands, got {n}")
     if m is None:
         if m_i is None:
             raise DomainError("need m or m_i")
@@ -431,6 +448,7 @@ def left_tail_chain(
     norm = MeasureRep(iv, continuous=NormalPart(m, math.sqrt(s)))
     if t_grid is None:
         t_grid = np.linspace(m - 6 * math.sqrt(s), m + 6 * math.sqrt(s), 41)
+    t_grid = _real_grid(t_grid)
 
     means = tuple(raw_moment(nu, 1) for nu in (binom, pois, norm))
     rows = []

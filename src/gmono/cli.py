@@ -162,6 +162,18 @@ def _parse_grid_spec(spec: str) -> np.ndarray:
         raise DomainError(f"bad grid spec {spec!r}: {exc}") from exc
 
 
+def _int_at_least(lo: int) -> Callable[[str], int]:
+    """An argparse type: an integer >= lo."""
+
+    def parse(spec: str) -> int:
+        v = int(spec)
+        if v < lo:
+            raise argparse.ArgumentTypeError(f"need an integer >= {lo}, got {v}")
+        return v
+
+    return parse
+
+
 def _parse_floats(spec: str, sep: str, what: str, count=None) -> list:
     """The numbers of a sep-separated spec, count of them if given."""
     try:
@@ -470,12 +482,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("martingale", help="normal domination of a fair walk")
     p.add_argument("--fair-walk", type=int, required=True, metavar="N")
     p.add_argument("--t-grid", default="-8:8:41")
-    p.add_argument("--power", type=int, default=5)
+    p.add_argument("--power", type=_int_at_least(0), default=5)
     p.add_argument("--mc", type=int, default=0)
     p.set_defaults(fn=_cmd_martingale)
 
     p = sub.add_parser("left-chain", help="binomial/Poisson/normal chain")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--t-grid", default=None)

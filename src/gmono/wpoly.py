@@ -1278,14 +1278,17 @@ def chain_t_two_arg(g: GaugeSpec, j: int, m: int) -> Callable:
     broadcast grid, one ExpPoly.eval_many on the cells with h >= 0, and
     e^(sigma t) broadcast from t.
 
-    Gauges with no closed form and no one-level antiderivative take one
-    PanelChain cover per array call, over [min t, max x] with every
+    Gauges with no closed form take one array pass per call.  A one-level
+    chain (m = j + 1) whose w_m has an antiderivative W is w_j(x) (W(x) -
+    W(t)) over the broadcast cells (``_one_level_cells``), with W called
+    once per distinct t and x and w_j from one values() call.  Any other
+    chain takes one PanelChain cover over [min t, max x] with every
     distinct t and x as a break (``_swept_chain``): a leftward sweep
     through the panels' transfer matrices gives every cell, with relative
     accuracy down to the anchor.  Scalar calls, power gauges (whose chains
-    are closed forms in log(x - base)), one-level chains with an
-    antiderivative, and anchors at or below a keep per-t evaluators with a
-    small cache, one scalar eval per cell with x >= t.
+    are closed forms in log(x - base)), m = j, and anchors at or below a
+    keep per-t evaluators with a small cache, one scalar eval per cell
+    with x >= t.
     """
     ring = translated_chain(g, j, m)
     if ring is not None:
@@ -1324,15 +1327,19 @@ def chain_t_two_arg(g: GaugeSpec, j: int, m: int) -> Callable:
                             dtype=float)
 
         many = each
-        if _gauge_ring(g, m) is None and (
-                m - j >= 2 or (m - j == 1 and g.antideriv(m) is None)):
+        if _gauge_ring(g, m) is None and m > j:
             iv = g.interval
+            anti = g.antideriv(m) if m - j == 1 else None
+            if anti is None:
+                cells = functools.partial(_swept_chain, g, j, m)
+            else:
+                cells = functools.partial(_one_level_cells, g, j, anti)
 
             def many(t: np.ndarray, x: np.ndarray) -> np.ndarray:
                 inner = (t >= iv.a) if iv.left_closed else (t > iv.a)
                 out = np.empty(t.shape)
                 out[~inner] = each(t[~inner], x[~inner])
-                out[inner] = _swept_chain(g, j, m, t[inner], x[inner])
+                out[inner] = cells(t[inner], x[inner])
                 return out
 
         def family(t, x):
@@ -1346,6 +1353,27 @@ def chain_t_two_arg(g: GaugeSpec, j: int, m: int) -> Callable:
             return out
 
     return family
+
+
+def _one_level_cells(g: GaugeSpec, j: int, anti, t: np.ndarray,
+                     x: np.ndarray) -> np.ndarray:
+    """p_{t;j,j+1}(x) = w_j(x) (W(x) - W(t)) at cells with t <= x, W =
+    anti an antiderivative of w_{j+1}: W once per distinct t and x, and
+    w_j from one values() call.  As _OneLevel under _Descent.eval: a cell
+    whose W(t) is not finite is +inf, one with x = t is 0, and a zero w_j
+    raises what value() raises."""
+    ts, ti = np.unique(t, return_inverse=True)
+    w_t = np.array([anti(v) for v in ts.tolist()], dtype=float)[ti]
+    out = np.where(np.isfinite(w_t), 0.0, math.inf)
+    live = (x > t) & np.isfinite(w_t)
+    xs, xi = np.unique(x[live], return_inverse=True)
+    if len(xs):
+        w = g.values(j, xs)
+        if not np.all(w > 0.0):
+            g.value(j, float(xs[np.argmin(w > 0.0)]))  # raises
+        w_x = np.array([anti(v) for v in xs.tolist()], dtype=float)
+        out[live] = w[xi] * (w_x[xi] - w_t[live])
+    return out
 
 
 def _swept_chain(g: GaugeSpec, j: int, m: int, t: np.ndarray,

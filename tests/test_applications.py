@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gmono import ExponentialGauge, Interval, UnitGauge, stein_gauges
+from gmono import DomainError, ExponentialGauge, Interval, UnitGauge, stein_gauges
 from gmono.applications import (
     CHEB_CONSTANT,
     MartingaleModel,
@@ -191,6 +191,17 @@ class TestMartingale:
             assert a == pytest.approx(b, abs=1e-12)
 
 
+class TestMartingaleInputs:
+    @pytest.mark.parametrize("kwargs", [
+        dict(t_grid=[math.nan]),
+        dict(t_grid=[-math.inf, 0.0]),
+        dict(t_grid=[0.0], power=-1),
+    ], ids=["nan-point", "minus-inf-point", "negative-power"])
+    def test_bad_inputs_are_domain_errors(self, kwargs):
+        with pytest.raises(DomainError):
+            martingale_dominance(fair_walk(4), **kwargs)
+
+
 class TestLeftTailChain:
     def test_acceptance_configuration(self):
         rep = left_tail_chain(10, m=2.0, s=0.4)
@@ -225,6 +236,15 @@ class TestLeftTailChain:
     def test_constraint_violations(self):
         with pytest.raises(Exception):
             left_tail_chain(10, m=2.0, s=0.1)  # s < m^2/n: infeasible
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(n=0, m=2.0, s=0.4),
+        dict(n=10, m=2.0, s=0.4, t_grid=[0.0, math.nan]),
+        dict(n=10, m=2.0, s=0.4, t_grid=[math.inf]),
+    ], ids=["no-summands", "nan-point", "inf-point"])
+    def test_bad_inputs_are_domain_errors(self, kwargs):
+        with pytest.raises(DomainError):
+            left_tail_chain(**kwargs)
 
     def test_random_configurations(self):
         rng = np.random.default_rng(9)

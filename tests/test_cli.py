@@ -221,6 +221,29 @@ class TestExitCodes:
         assert "t_grid point" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("argv", [
+        ["martingale", "--fair-walk", "4", "--t-grid", "nan"],
+        ["martingale", "--fair-walk", "4", "--t-grid=-inf,0"],
+        ["left-chain", "--n", "10", "--m", "2", "--s", "0.4", "--t-grid", "nan"],
+        ["left-chain", "--n", "10", "--m", "2", "--s", "0.4", "--t-grid", "inf"],
+    ], ids=["martingale-nan", "martingale-minus-inf", "left-chain-nan",
+            "left-chain-inf"])
+    def test_non_finite_t_grid_point_is_two(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "t_grid point" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["left-chain", "--n", "0", "--m", "2", "--s", "0.4"],
+        ["martingale", "--fair-walk", "4", "--power", "-1"],
+    ], ids=["left-chain-no-summands", "martingale-negative-power"])
+    def test_out_of_range_count_is_two(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "need an integer >=" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
         ["cheb"],
         ["cheb", "--pair", "rho", "rho", "--scan", "3"],
         ["cheb", "--pair", "rho", "tau:x"],

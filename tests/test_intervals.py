@@ -142,6 +142,61 @@ class TestGaugeValues:
         g = ExponentialGauge(R, [1.0])
         assert g.values(0, [-800.0])[0] == 0.0 == g.value_lenient(0, -800.0)
 
+    # Wide draws: numpy's arctan and exp differ from libm's in the last bit
+    # at about 0.1% and 4% of such points.
+    WIDE = np.random.default_rng(31).uniform(-1e4, 1e4, 20000)
+    NEAR = np.random.default_rng(32).uniform(-37.0, 37.0, 20000)
+
+    def test_arctan_cheb_array_entries_bit_identical(self):
+        g = arctan_cheb_gauges()
+        assert all(f is not None for f in g.arrays)
+        for xs in (self.WIDE, self.NEAR):
+            for j in range(2):
+                assert np.array_equal(g.values(j, xs), self.scalar(g, j, xs))
+
+    def test_stein_array_entries(self):
+        # Bit for bit against the scalar path, and within 2 ulp of the
+        # same formulas under libm's exp.
+        g = stein_gauges()
+        c = 1.0 / math.sqrt(2.0 * math.pi)
+        libm = [lambda x: 1.0, lambda x: math.exp(x * x / 2.0) / c,
+                lambda x: c * math.exp(-x * x / 2.0)]
+        for j in range(3):
+            got = g.values(j, self.NEAR)
+            assert np.array_equal(got, self.scalar(g, j, self.NEAR))
+            want = np.array([libm[j](x) for x in self.NEAR.tolist()])
+            assert np.all(np.abs(got - want) <= 2 * np.spacing(want)), j
+
+    @pytest.mark.parametrize("x", [37.5, -40.0, 1e3])
+    def test_stein_inverse_density_out_of_float_range(self, x):
+        # 1/phi is +inf once x^2/2 > 700: both paths raise GaugeError there.
+        g = stein_gauges()
+        with pytest.raises(GaugeError):
+            g.value_lenient(1, x)
+        with pytest.raises(GaugeError):
+            g.values(1, [0.0, x])
+        assert math.isfinite(g.values(1, [37.4])[0])
+        assert g.values(2, [x])[0] == g.value_lenient(2, x)
+
+    def test_shift_keeps_array_entries(self):
+        for g in (arctan_cheb_gauges(), stein_gauges()):
+            s = g.shifted(1)
+            assert s.arrays == g.arrays[1:]
+            assert np.array_equal(s.values(0, self.XS), g.values(1, self.XS))
+
+    def test_user_closure_sees_python_floats_one_at_a_time(self):
+        seen = []
+
+        def w(x):
+            seen.append(x)
+            return 1.0 + x * x
+
+        g = TableGauge(R, [w])
+        assert g.arrays == (None,)
+        got = g.values(0, self.XS)
+        assert [type(x) for x in seen] == [float] * len(self.XS)
+        assert np.array_equal(got, 1.0 + self.XS * self.XS)
+
 
 class TestShift:
     def test_unit_shift(self):

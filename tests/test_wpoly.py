@@ -16,6 +16,7 @@ from scipy.integrate import quad as squad
 from gmono import (
     DomainError,
     ExponentialGauge,
+    GaugeError,
     InconclusiveError,
     Interval,
     PowerGauge,
@@ -262,6 +263,40 @@ class TestTwoArgBroadcast:
                 assert v == want or (math.isnan(v) and math.isnan(want)), (t, x)
             else:
                 assert abs(v - want) <= 1e-12 * (1.0 + abs(want)), (t, x, v, want)
+
+    def test_one_level_broadcast_matches_per_t_handles(self, monkeypatch):
+        # p_{t;0,1} = w_0(x) (atan x - atan t) as one broadcast: bit for
+        # bit the per-t evaluators' positive parts, with no per-t chain.
+        g = arctan_cheb_gauges()
+        ts = np.linspace(-4.0, 4.0, 33)
+        xs = np.r_[np.linspace(-5.0, 5.0, 41), ts[::4]]  # and cells with x = t
+        built = []
+        real = wpoly._chain_t
+        monkeypatch.setattr(wpoly, "_chain_t", lambda *a: built.append(a) or real(*a))
+        got = chain_t_two_arg(g, 0, 1)(ts[:, None], xs[None, :])
+        assert built == []
+        monkeypatch.undo()
+        assert np.all(got[xs[None, :] < ts[:, None]] == 0.0)
+        for (r, c), v in np.ndenumerate(got):
+            t, x = float(ts[r]), float(xs[c])
+            assert v == chain_t_handle(g, t, 0, 1, part=POSITIVE).eval(x), (t, x)
+
+    def test_one_level_broadcast_edge_cells(self):
+        # W(t) = -inf below -5 makes those anchors diverge (+inf, x = t
+        # too); elsewhere x = t is 0 without evaluating w_0, and w_0(1) = 0
+        # raises what value() raises.
+        g = TableGauge(R, [lambda x: 0.0 if x == 1.0 else 2.0, lambda x: 1.0],
+                       antiderivs=[None, lambda x: -math.inf if x < -5.0 else x])
+        ts, xs = np.array([-6.0, 0.0, 1.0]), np.array([-6.0, 0.0, 2.0])
+        got = chain_t_two_arg(g, 0, 1)(ts[:, None], xs[None, :])
+        want = [[chain_t_handle(g, t, 0, 1, part=POSITIVE).eval(x) for x in xs]
+                for t in ts]
+        assert got.tolist() == want == [[math.inf] * 3, [0.0, 0.0, 4.0], [0.0, 0.0, 2.0]]
+        assert chain_t_two_arg(g, 0, 1)(np.array([1.0]), np.array([1.0]))[0] == 0.0
+        with pytest.raises(GaugeError):
+            chain_t_two_arg(g, 0, 1)(np.array([0.0]), np.array([1.0]))
+        with pytest.raises(GaugeError):
+            chain_t_handle(g, 0.0, 0, 1).eval(1.0)
 
     @pytest.mark.parametrize(
         "g", [UnitGauge(R), ExponentialGauge(R, [0.0, 0.0, 0.5, -1.0, 1.0])],
@@ -910,6 +945,26 @@ class TestFinitenessSet:
                 col = fs.column(m)
                 assert col == list(range(fs.j_m(m), m + 1))
                 assert m in col
+
+    def test_arctan_probe_takes_w1_as_arrays(self):
+        # A count, not a time: the probe reads w_1 through its array entry
+        # only, and finds the table the point-by-point entry gives.
+        g = arctan_cheb_gauges()
+        calls = []
+
+        def w1(x):
+            calls.append(x)
+            return g.funcs[1](x)
+
+        funcs = [g.funcs[0], w1]
+        fast = TableGauge(R, funcs, g.jets, g.antiderivs, g.arrays)
+        fs = finiteness_set(fast, 1, force_probe=True)
+        assert calls == []
+        ref = finiteness_set(TableGauge(R, funcs, g.jets, g.antiderivs), 1,
+                             force_probe=True)
+        assert calls
+        assert fs.method == ref.method == "probe"
+        assert fs.table == ref.table == ((True, True), (True,))
 
     def test_probe_agrees_with_analytic(self):
         fs = finiteness_set(G61, 5)
