@@ -62,6 +62,9 @@ __all__ = [
 HALF_PI = math.pi / 2.0
 CHEB_CONSTANT = 384.0 / 245.0
 _MAX_SUPPORT = 200000  # atoms of an exactly enumerated martingale sum
+# Caps below float overflow: the normal side's power! and the binomial C(n, j).
+MAX_POWER = 170
+MAX_SUMMANDS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +314,10 @@ def martingale_dominance(
     Exact pmf enumeration by default; mc_samples > 0 switches to a seeded
     Monte Carlo fallback whose report refuses a "holds" verdict when any
     margin is within three standard errors of zero.  Every grid point must
-    be a real number.
+    be a real number, and 0 <= power <= MAX_POWER.
     """
-    if power < 0:
-        raise DomainError(f"need power >= 0, got {power}")
+    if not 0 <= power <= MAX_POWER:
+        raise DomainError(f"need 0 <= power <= {MAX_POWER}, got {power}")
     t_grid = _real_grid(t_grid)
     s = model.s_total()
     if s > 0:
@@ -415,10 +418,10 @@ def left_tail_chain(
     The laws: (s/m) Binomial(n, m^2/(n s)) as atoms, (s/m) Poisson(m^2/s),
     and normal(m, sqrt(s)).  Requires 0 < s <= m^2/n.  Per-summand budgets
     (m_i, s_i) may be given instead of totals.  Every grid point must be a
-    real number.
+    real number, and 1 <= n <= MAX_SUMMANDS.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1 summands, got {n}")
+    if not 1 <= n <= MAX_SUMMANDS:
+        raise DomainError(f"need 1 <= n <= {MAX_SUMMANDS} summands, got {n}")
     if m is None:
         if m_i is None:
             raise DomainError("need m or m_i")

@@ -24,6 +24,8 @@ import numpy as np
 
 from . import acceptance
 from .applications import (
+    MAX_POWER,
+    MAX_SUMMANDS,
     RatioQuery,
     cheb_minimum_scan,
     cheb_ratio,
@@ -162,13 +164,14 @@ def _parse_grid_spec(spec: str) -> np.ndarray:
         raise DomainError(f"bad grid spec {spec!r}: {exc}") from exc
 
 
-def _int_at_least(lo: int) -> Callable[[str], int]:
-    """An argparse type: an integer >= lo."""
+def _int_in(lo: int, hi: int) -> Callable[[str], int]:
+    """An argparse type: an integer in [lo, hi]."""
 
     def parse(spec: str) -> int:
         v = int(spec)
-        if v < lo:
-            raise argparse.ArgumentTypeError(f"need an integer >= {lo}, got {v}")
+        if not lo <= v <= hi:
+            raise argparse.ArgumentTypeError(
+                f"need an integer >= {lo} and <= {hi}, got {v}")
         return v
 
     return parse
@@ -290,10 +293,9 @@ def _cmd_cheb(args, cfg: RunConfig) -> int:
         if tag == "rho":
             return "rho"
         if tag.startswith("tau:"):
-            try:
-                return ("tau", float(tag[4:]))
-            except ValueError:
-                pass
+            (t,) = _parse_floats(tag[4:], ",", "tau parameter", 1)
+            if math.isfinite(t):
+                return ("tau", t)
         raise SystemExit(_input_error(f"bad pair member {tag!r}"))
 
     if args.scan is not None:
@@ -482,12 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("martingale", help="normal domination of a fair walk")
     p.add_argument("--fair-walk", type=int, required=True, metavar="N")
     p.add_argument("--t-grid", default="-8:8:41")
-    p.add_argument("--power", type=_int_at_least(0), default=5)
+    p.add_argument("--power", type=_int_in(0, MAX_POWER), default=5)
     p.add_argument("--mc", type=int, default=0)
     p.set_defaults(fn=_cmd_martingale)
 
     p = sub.add_parser("left-chain", help="binomial/Poisson/normal chain")
-    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--n", type=_int_in(1, MAX_SUMMANDS), required=True)
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--t-grid", default=None)

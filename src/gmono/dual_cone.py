@@ -480,7 +480,7 @@ def oracle_equivalence(
 
     Samples random nonnegative combinations of the generating elements
     (signed degree < k basis, nonnegative second-chain terms, nonnegative
-    positive parts at random anchors) and verifies that a "dominates"
+    positive parts at random anchors in I) and verifies that a "dominates"
     verdict implies nu1(f) >= nu2(f) for every sample (to ``tol``), and that
     a "fails" verdict carries a witness with nu2(f) - nu1(f) above the
     ``tol_eq`` threshold the verdict was decided on.  Finite-atom measures
@@ -503,8 +503,10 @@ def oracle_equivalence(
     atoms1 = [(x, m) for x, m in nu1.atoms if m > 0]
     atoms2 = [(x, m) for x, m in nu2.atoms if m > 0]
     locs = [x for x, _ in atoms1 + atoms2]
-    lo = min(locs) - 2.0
-    hi = max(locs) + 2.0
+    # Anchors reach 2 past the atoms but stay in I: above an open a, below b.
+    lo = max(min(locs) - 2.0,
+             iv.a if iv.left_closed else math.nextafter(iv.a, math.inf))
+    hi = min(max(locs) + 2.0, iv.b)
     # The fixed generators do not depend on the trial: one row per handle,
     # one column per atom, so every trial's fixed part is one product.
     H = np.array(

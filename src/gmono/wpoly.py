@@ -569,7 +569,7 @@ class _Descent:
         g, start, levels, t = self.g, self.start, self.levels, self.anchor
         ring = _gauge_ring(g, start) if isinstance(start, int) else start._exact
         if isinstance(ring, ExpPoly):
-            self._exact = _descend(ring, g, levels, t)
+            self._exact = _descend(ring, g, levels, _ring_u(g, t))
             self.divergent = self._exact is None
             return
         if not levels:
@@ -683,9 +683,7 @@ class _Descent:
             # (x - a)^[j >= 1].
             u = x if math.isinf(self.anchor) else math.log(x - self.anchor)
             return self._chain_for(u).eval(u, self.g.value(self.levels[-1], x))
-        if self._log_base is not None:
-            x = _log_u(x, self._log_base)
-        return self._exact.eval(x)
+        return self._exact.eval(x if self._log_base is None else _ring_u(self.g, x))
 
 
 class _OneLevel:
@@ -723,7 +721,11 @@ def _log_base(g: GaugeSpec) -> Optional[float]:
     return g.base if isinstance(g, PowerGauge) else None
 
 
-def _log_u(x: float, base: float) -> float:
+def _ring_u(g: GaugeSpec, x: float) -> float:
+    """x in the ring's variable u (-inf at a power gauge's base)."""
+    base = _log_base(g)
+    if base is None:
+        return x
     return math.log(x - base) if x > base else -math.inf
 
 
@@ -735,15 +737,14 @@ def _gauge_ring(g: GaugeSpec, m: int) -> Optional[ExpPoly]:
     return None
 
 
-def _descend(ring: ExpPoly, g: GaugeSpec, levels: Sequence[int], anchor: float):
-    """The closed-form descent in the ring's variable u; None when an
-    integral from u = -inf (t = -inf, or t at a power gauge's base)
-    diverges."""
-    base = _log_base(g)
+def _descend(ring: ExpPoly, g: GaugeSpec, levels: Sequence[int], u_t: float):
+    """The closed-form descent in the ring's variable u from its anchor
+    u_t; None when an integral from u_t = -inf (t = -inf, or t at a power
+    gauge's base) diverges."""
+    power = _log_base(g) is not None
     rate = _ring_rate(g)
-    u_t = anchor if base is None else _log_u(anchor, base)
     for lvl in levels:
-        if base is not None:
+        if power:
             ring = ring.mul_exp(1.0)  # dx = exp(u) du
         ring = ring.integrate_from(u_t)
         if ring is None:
@@ -986,7 +987,7 @@ def finiteness_set(
                 ring = _gauge_ring(g, m)
                 for j in range(m, -1, -1):
                     if j < m and ring is not None:
-                        ring = _descend(ring, g, [j], iv.a)
+                        ring = _descend(ring, g, [j], _ring_u(g, iv.a))
                     put(j, m, ring is not None)
             return FinitenessSet(g, n, _freeze(table), "analytic")
 
@@ -1250,107 +1251,98 @@ def interpolate(
 
 
 def translated_chain(g: GaugeSpec, j: int, m: int) -> Optional[tuple]:
-    """(sigma, base) with p_{t;j,m}(x) = exp(sigma*t) * base(x - t) for
-    every finite t, under unit and exponential gauges; None under others.
-
-    sigma is the sum of the exponent parameters over levels j..m and base
-    is p_{0;j,m} as an ExpPoly in x: moving the anchor translates the
-    chain and rescales it.
-    """
-    if not isinstance(g, (UnitGauge, ExponentialGauge)):
+    """(sigma, base) with p_{t;j,m}(x) = exp(sigma*u_t) * base(u_x - u_t)
+    for every t with a finite u_t, in the ring's variable u (x itself
+    under unit and exponential gauges); None for a gauge without a ring.
+    base is the chain anchored at u = 0, and sigma sums the rates of
+    levels j..m and, under a power gauge, 1 per level for dx = exp(u) du."""
+    ring = _gauge_ring(g, m)
+    if ring is None:
         return None
-    lam = _ring_rate(g)
-    sigma = math.fsum(lam(s) for s in range(j, m + 1))
-    return sigma, _descend(_gauge_ring(g, m), g, range(m - 1, j - 1, -1), 0.0)
+    rate, power = _ring_rate(g), _log_base(g) is not None
+    sigma = math.fsum([rate(s) for s in range(j, m + 1)] + [power * (m - j)])
+    return sigma, _descend(ring, g, range(m - 1, j - 1, -1), 0.0)
 
 
 def chain_t_two_arg(g: GaugeSpec, j: int, m: int) -> Callable:
-    """Return a (t, x) -> p+_{t;j,m}(x) evaluator for finite anchors t: the
+    """Return a (t, x) -> p+_{t;j,m}(x) evaluator for anchors t in I: the
     chain's value where x >= t and 0 where x < t.
 
-    A pair of Python floats gives a float.  Arrays broadcast against each
-    other and give an array, so a grid of anchors against a set of points
-    is one call.
+    Arrays broadcast against each other and give an array; a pair of
+    floats gives a float, from the array call on one cell (unit and
+    exponential gauges keep their own scalar arithmetic for it).  An
+    anchor left of a raises DomainError, and so does t = a at an open a
+    under a gauge with no closed form.  One array route per gauge kind:
 
-    For unit/exponential gauges the chain satisfies the translation
-    identity of ``translated_chain``, so a single chain built at t = 0
-    serves every anchor: an array call takes h = x - t once over the
-    broadcast grid, one ExpPoly.eval_many on the cells with h >= 0, and
-    e^(sigma t) broadcast from t.
-
-    Gauges with no closed form take one array pass per call.  A one-level
-    chain (m = j + 1) whose w_m has an antiderivative W is w_j(x) (W(x) -
-    W(t)) over the broadcast cells (``_one_level_cells``), with W called
-    once per distinct t and x and w_j from one values() call.  Any other
-    chain takes one PanelChain cover over [min t, max x] with every
-    distinct t and x as a break (``_swept_chain``): a leftward sweep
-    through the panels' transfer matrices gives every cell, with relative
-    accuracy down to the anchor.  Scalar calls, power gauges (whose chains
-    are closed forms in log(x - base)), m = j, and anchors at or below a
-    keep per-t evaluators with a small cache, one scalar eval per cell
-    with x >= t.
+    * a closed form: ``translated_chain``'s base, one ExpPoly.eval_many on
+      the cells with u_x >= u_t, times e^(sigma u_t).  Under a power gauge
+      whose base is a, the cells at t = a (u_t = -inf) take the chain's
+      descent from u = -inf, +inf where it diverges;
+    * otherwise, on the cells with x >= t: m = j is w_m from one values()
+      call; a one-level chain whose w_m has an antiderivative W is
+      w_j(x) (W(x) - W(t)) (``_one_level_cells``); any other chain is one
+      PanelChain cover swept leftward across the anchors (``_swept_chain``).
     """
+    iv = g.interval
     ring = translated_chain(g, j, m)
-    if ring is not None:
-        sigma, base = ring
+    log_base = _log_base(g)
+    at_a = ring is not None or iv.left_closed  # whether t = a is an anchor
 
-        def family(t, x):
-            if isinstance(t, (float, int)) and isinstance(x, (float, int)):
-                return _safe_exp(sigma * t) * base.eval(x - t) if x >= t else 0.0
-            t = np.asarray(t, dtype=float)
-            h = np.asarray(x, dtype=float) - t
+    if ring is None:
+        anti = g.antideriv(m) if m - j == 1 else None
+        if m == j:
+            cells = lambda t, x: g.values(j, x)
+        elif anti is None:
+            cells = functools.partial(_swept_chain, g, j, m)
+        else:
+            cells = functools.partial(_one_level_cells, g, j, anti)
+
+        def grid(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+            t, x = np.broadcast_arrays(t, x)
+            out = np.zeros(t.shape)
+            on = x >= t
+            out[on] = cells(t[on], x[on])
+            return out
+    else:
+        sigma, base = ring
+        if log_base == iv.a:  # the chain's descent from u = -inf, or None
+            left = _descend(_gauge_ring(g, m), g, range(m - 1, j - 1, -1),
+                            -math.inf)
+
+        def grid(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+            if log_base is None:
+                h = x - t
+            else:  # u = log(x - base), -inf at the base
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    t, x = np.log(t - log_base), np.log(x - log_base)
+                    h = x - t
             on = h >= 0.0
             out = np.zeros(h.shape)
             out[on] = base.eval_many(h[on])
-            st = sigma * t
             with np.errstate(over="ignore", invalid="ignore"):
+                st = sigma * t
                 # _safe_exp's cut-offs, as in a scalar call.
                 scale = np.where(st > 700.0, np.inf,
                                  np.where(st < -745.0, 0.0, np.exp(st)))
                 np.multiply(out, scale, out=out, where=on)
+            if log_base == iv.a:
+                hit = (t == -math.inf) & (x >= t)
+                out[hit] = math.inf if left is None else left.eval_many(
+                    np.broadcast_to(x, hit.shape)[hit])
             return out
-    else:
-        cache: dict = {}
 
-        def one(t: float, x: float) -> float:
-            if not x >= t:
-                return 0.0
-            ev = cache.get(t)
-            if ev is None:
-                ev = _chain_t(g, t, j, m)
-                if len(cache) < 4096:
-                    cache[t] = ev
-            return ev.eval(x)
-
-        def each(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-            return np.array([one(a, b) for a, b in zip(t.tolist(), x.tolist())],
-                            dtype=float)
-
-        many = each
-        if _gauge_ring(g, m) is None and m > j:
-            iv = g.interval
-            anti = g.antideriv(m) if m - j == 1 else None
-            if anti is None:
-                cells = functools.partial(_swept_chain, g, j, m)
-            else:
-                cells = functools.partial(_one_level_cells, g, j, anti)
-
-            def many(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-                inner = (t >= iv.a) if iv.left_closed else (t > iv.a)
-                out = np.empty(t.shape)
-                out[~inner] = each(t[~inner], x[~inner])
-                out[inner] = cells(t[inner], x[inner])
-                return out
-
-        def family(t, x):
-            if isinstance(t, (float, int)) and isinstance(x, (float, int)):
-                return one(t, x)
-            t, x = np.broadcast_arrays(np.asarray(t, dtype=float),
-                                       np.asarray(x, dtype=float))
-            out = np.zeros(t.shape)
-            on = x >= t
-            out[on] = many(t[on], x[on])
-            return out
+    def family(t, x):
+        scalar = isinstance(t, (float, int)) and isinstance(x, (float, int))
+        if not scalar:
+            t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+        # No t is left of a = -inf when it is an anchor.
+        if (iv.a > -math.inf or not at_a) and np.any(t < iv.a if at_a else t <= iv.a):
+            raise DomainError(f"anchor t={float(np.min(t))} not in {iv}")
+        if not scalar:
+            return grid(t, x)
+        if ring is not None and log_base is None:
+            return _safe_exp(sigma * t) * base.eval(x - t) if x >= t else 0.0
+        return float(grid(np.array([float(t)]), np.array([float(x)]))[0])
 
     return family
 

@@ -196,7 +196,8 @@ class TestMartingaleInputs:
         dict(t_grid=[math.nan]),
         dict(t_grid=[-math.inf, 0.0]),
         dict(t_grid=[0.0], power=-1),
-    ], ids=["nan-point", "minus-inf-point", "negative-power"])
+        dict(t_grid=[0.0], power=171),
+    ], ids=["nan-point", "minus-inf-point", "negative-power", "power-past-cap"])
     def test_bad_inputs_are_domain_errors(self, kwargs):
         with pytest.raises(DomainError):
             martingale_dominance(fair_walk(4), **kwargs)
@@ -239,9 +240,10 @@ class TestLeftTailChain:
 
     @pytest.mark.parametrize("kwargs", [
         dict(n=0, m=2.0, s=0.4),
+        dict(n=1001, m=2.0, s=0.4),
         dict(n=10, m=2.0, s=0.4, t_grid=[0.0, math.nan]),
         dict(n=10, m=2.0, s=0.4, t_grid=[math.inf]),
-    ], ids=["no-summands", "nan-point", "inf-point"])
+    ], ids=["no-summands", "summands-past-cap", "nan-point", "inf-point"])
     def test_bad_inputs_are_domain_errors(self, kwargs):
         with pytest.raises(DomainError):
             left_tail_chain(**kwargs)

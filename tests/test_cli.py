@@ -236,7 +236,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["left-chain", "--n", "0", "--m", "2", "--s", "0.4"],
         ["martingale", "--fair-walk", "4", "--power", "-1"],
-    ], ids=["left-chain-no-summands", "martingale-negative-power"])
+        ["left-chain", "--n", "1001", "--m", "2", "--s", "0.4"],
+        ["martingale", "--fair-walk", "4", "--power", "171"],
+    ], ids=["left-chain-no-summands", "martingale-negative-power",
+            "left-chain-past-cap", "martingale-power-past-cap"])
     def test_out_of_range_count_is_two(self, capsys, argv):
         code = main(argv)
         captured = capsys.readouterr()
@@ -244,11 +247,24 @@ class TestExitCodes:
         assert "need an integer >=" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("argv", [
+        ["left-chain", "--n", "1000", "--m", "2", "--s", "0.4"],
+        ["martingale", "--fair-walk", "4", "--power", "170"],
+    ], ids=["left-chain", "martingale"])
+    def test_count_at_its_cap_runs(self, capsys, argv):
+        # One past each cap overflowed a float (exit 4) before the cap.
+        code = main(["--format", "json", *argv])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and payload["holds"] is True
+        assert all(math.isfinite(v) for row in payload["rows"] for v in row)
+
+    @pytest.mark.parametrize("argv", [
         ["cheb"],
         ["cheb", "--pair", "rho", "rho", "--scan", "3"],
         ["cheb", "--pair", "rho", "tau:x"],
+        ["cheb", "--pair", "rho", "tau:nan"],
+        ["cheb", "--pair", "tau:inf", "rho"],
         ["cheb", "--scan", "-3"],
-    ], ids=["neither", "both", "bad-tau", "negative-scan"])
+    ], ids=["neither", "both", "bad-tau", "nan-tau", "inf-tau", "negative-scan"])
     def test_bad_cheb_arguments_are_two(self, argv):
         assert main(argv) == 2
 

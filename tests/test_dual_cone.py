@@ -11,6 +11,7 @@ from gmono import (
     DomainError,
     ExponentialGauge,
     Interval,
+    PowerGauge,
     PreconditionError,
     UnitGauge,
     dual_cone,
@@ -384,6 +385,20 @@ class TestOracleEquivalence:
         )
         assert rep.verdict == "dominates" and rep.clean
 
+    def test_anchors_stay_in_the_interval(self):
+        # Anchors drawn 2 below the lowest atom would leave (0, inf): a
+        # table gauge has no chain anchored there.  Its oracle is the
+        # closed form's, trial by trial.
+        iv = Interval(0.0, math.inf)
+        nu1 = MeasureRep(iv, atoms=[(0.5, 0.5), (1.5, 0.5)])
+        nu2 = MeasureRep(iv, atoms=[(1.0, 1.0)])
+        table = TableGauge(iv, [lambda x: 1.0, lambda x: math.exp(x / 2), math.exp])
+        got = oracle_equivalence(nu1, nu2, ConeSpec(table, 2, 2), trials=40, seed=1)
+        want = oracle_equivalence(nu1, nu2, ConeSpec(ExponentialGauge(iv, [0.0, 0.5, 1.0]), 2, 2),
+                                  trials=40, seed=1)
+        assert got.clean and got.verdict == want.verdict
+        assert got.worst_margin == pytest.approx(want.worst_margin, rel=1e-9)
+
     @pytest.mark.parametrize("gauge_kind", ["unit", "exponential"])
     def test_random_pairs_sound(self, gauge_kind):
         rng = np.random.default_rng(42 if gauge_kind == "unit" else 43)
@@ -687,6 +702,25 @@ class TestConditionIIIBatch:
             for t, got in zip(ts, row):
                 want = gmoment(nu_, chain_t_handle(g, t, 0, n, part=POSITIVE))
                 assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (t, got, want)
+
+    def test_power_gauge_rows_match_per_t_handles(self):
+        # Power gauges take the translated family in u = log(x - base):
+        # the atoms' rows against one handle per t, anchors at a included.
+        rng = np.random.default_rng(21)
+        iv = Interval(0.0, math.inf)
+        for _ in range(12):
+            n = int(rng.integers(1, 5))
+            lams = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0], size=n + 1)
+            g = PowerGauge(iv, float(rng.choice([0.0, -1.0])), lams.tolist())
+            nus = [MeasureRep(iv, atoms=list(zip(rng.uniform(0.01, 4.0, k).tolist(),
+                                                 rng.uniform(0.05, 1.0, k).tolist())))
+                   for k in (3, 5)]
+            ts = [0.0] + sorted(rng.uniform(0.0, 4.5, 11).tolist())
+            rows = _grid_rows(nus, g, n, chain_t_two_arg(g, 0, n), ts)
+            for nu, row in zip(nus, rows):
+                for t, got in zip(ts, row):
+                    want = gmoment(nu, chain_t_handle(g, t, 0, n, part=POSITIVE))
+                    assert got == want or abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
     def test_poisson_rows_are_exact_sums(self):
         # The sum of pmf * (x - t)^5 / 5! over the sweep in exact rational
