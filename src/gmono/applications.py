@@ -62,9 +62,8 @@ __all__ = [
 HALF_PI = math.pi / 2.0
 CHEB_CONSTANT = 384.0 / 245.0
 _MAX_SUPPORT = 200000  # atoms of an exactly enumerated martingale sum
-# Caps below float overflow: the normal side's power! and the binomial C(n, j).
-MAX_POWER = 170
-MAX_SUMMANDS = 1000
+MAX_POWER = 170  # the normal side's power! stays below float overflow
+MAX_SUMMANDS = 1000  # and so do the binomial coefficients C(n, j)
 
 
 # ---------------------------------------------------------------------------

@@ -504,9 +504,8 @@ def oracle_equivalence(
     atoms2 = [(x, m) for x, m in nu2.atoms if m > 0]
     locs = [x for x, _ in atoms1 + atoms2]
     # Anchors reach 2 past the atoms but stay in I: above an open a, below b.
-    lo = max(min(locs) - 2.0,
-             iv.a if iv.left_closed else math.nextafter(iv.a, math.inf))
-    hi = min(max(locs) + 2.0, iv.b)
+    least = iv.a if iv.left_closed else math.nextafter(iv.a, math.inf)
+    lo, hi = max(min(locs) - 2.0, least), min(max(locs) + 2.0, iv.b)
     # The fixed generators do not depend on the trial: one row per handle,
     # one column per atom, so every trial's fixed part is one product.
     H = np.array(

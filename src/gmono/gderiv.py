@@ -264,11 +264,13 @@ class MixtureLevels:
         if fn is None:
             fn = self._fams[level] = chain_t_two_arg(self.g, level, self.n)
         mu = self.mu
+        atoms = [(t, mass) for t, mass in mu.atoms if mass != 0.0 and t >= y]
+        if atoms and self.g.kind not in ("unit", "exponential"):  # one array call
+            vs = fn(np.array([t for t, _ in atoms]), float(x)).tolist()
+        else:  # scalar arithmetic, atom by atom
+            vs = [fn(t, x) for t, _ in atoms]
         acc = 0.0
-        for t, mass in mu.atoms:
-            if mass == 0.0 or t < y:
-                continue
-            v = fn(t, x)
+        for (_, mass), v in zip(atoms, vs):
             if not math.isfinite(v):
                 raise PreconditionError(f"divergent mixture at level {level}")
             acc += mass * v

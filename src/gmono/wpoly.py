@@ -1270,9 +1270,10 @@ def chain_t_two_arg(g: GaugeSpec, j: int, m: int) -> Callable:
 
     Arrays broadcast against each other and give an array; a pair of
     floats gives a float, from the array call on one cell (unit and
-    exponential gauges keep their own scalar arithmetic for it).  An
-    anchor left of a raises DomainError, and so does t = a at an open a
-    under a gauge with no closed form.  One array route per gauge kind:
+    exponential gauges keep their own scalar arithmetic for it, which a
+    quadrature's one-point integrand needs for speed).  An anchor left
+    of a raises DomainError, and so does t = a at an open a under a
+    gauge with no closed form.  One array route per gauge kind:
 
     * a closed form: ``translated_chain``'s base, one ExpPoly.eval_many on
       the cells with u_x >= u_t, times e^(sigma u_t).  Under a power gauge
@@ -1287,6 +1288,8 @@ def chain_t_two_arg(g: GaugeSpec, j: int, m: int) -> Callable:
     ring = translated_chain(g, j, m)
     log_base = _log_base(g)
     at_a = ring is not None or iv.left_closed  # whether t = a is an anchor
+    outside = (lambda t: t < iv.a) if at_a else (lambda t: t <= iv.a)
+    check = not (at_a and iv.a == -math.inf)  # else no t is outside I
 
     if ring is None:
         anti = g.antideriv(m) if m - j == 1 else None
@@ -1310,18 +1313,16 @@ def chain_t_two_arg(g: GaugeSpec, j: int, m: int) -> Callable:
                             -math.inf)
 
         def grid(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-            if log_base is None:
-                h = x - t
-            else:  # u = log(x - base), -inf at the base
-                with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if log_base is not None:  # u = log(x - base), -inf at the base
                     t, x = np.log(t - log_base), np.log(x - log_base)
-                    h = x - t
+                h = x - t  # nan, a cell left at 0, where x = t = +-inf
             on = h >= 0.0
             out = np.zeros(h.shape)
             out[on] = base.eval_many(h[on])
             with np.errstate(over="ignore", invalid="ignore"):
                 st = sigma * t
-                # _safe_exp's cut-offs, as in a scalar call.
+                # _safe_exp's cut-offs: +inf past e^700, 0 below e^-745.
                 scale = np.where(st > 700.0, np.inf,
                                  np.where(st < -745.0, 0.0, np.exp(st)))
                 np.multiply(out, scale, out=out, where=on)
@@ -1335,13 +1336,12 @@ def chain_t_two_arg(g: GaugeSpec, j: int, m: int) -> Callable:
         scalar = isinstance(t, (float, int)) and isinstance(x, (float, int))
         if not scalar:
             t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
-        # No t is left of a = -inf when it is an anchor.
-        if (iv.a > -math.inf or not at_a) and np.any(t < iv.a if at_a else t <= iv.a):
+        if check and np.any(outside(t)):
             raise DomainError(f"anchor t={float(np.min(t))} not in {iv}")
         if not scalar:
             return grid(t, x)
-        if ring is not None and log_base is None:
-            return _safe_exp(sigma * t) * base.eval(x - t) if x >= t else 0.0
+        if ring is not None and log_base is None:  # grid's cells, far cheaper
+            return _safe_exp(sigma * t) * base.eval(x - t) if x - t >= 0.0 else 0.0
         return float(grid(np.array([float(t)]), np.array([float(x)]))[0])
 
     return family

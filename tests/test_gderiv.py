@@ -11,6 +11,7 @@ from gmono import (
     Interval,
     PowerGauge,
     PreconditionError,
+    TableGauge,
     UnitGauge,
     arctan_cheb_gauges,
     stein_gauges,
@@ -29,8 +30,9 @@ from gmono.gderiv import (
     mixture_function,
     rem_left_example,
 )
+from gmono import wpoly
 from gmono.measures import MeasureRep, NormalPart
-from gmono.wpoly import chain_t_handle
+from gmono.wpoly import POSITIVE, chain_t_handle
 
 R = Interval(-math.inf, math.inf)
 GU = UnitGauge(R)
@@ -264,6 +266,28 @@ class TestMixtures:
         mu = MeasureRep(iv, atoms=[(1.0, 1.0)])
         with pytest.raises(PreconditionError):
             mixture_function(mu, UnitGauge(iv), 0, 2)
+
+    @pytest.mark.parametrize("g, n", [
+        (arctan_cheb_gauges(), 1),
+        (TableGauge(R, [(lambda x, l=l: math.exp(l * x)) for l in (0.5, -1.0, 1.0)]), 2),
+    ], ids=["arctan_cheb", "clone"])
+    def test_one_pass_per_value(self, monkeypatch, g, n):
+        # Under a table gauge a value takes all its atoms in one array
+        # call: one one-level pass or one swept cover, not one per atom.
+        calls = []
+        for name in ("_one_level_cells", "_swept_chain"):
+            real = getattr(wpoly, name)
+            monkeypatch.setattr(wpoly, name,
+                                lambda *a, real=real: calls.append(a) or real(*a))
+        atoms = [(-1.0, 0.5), (0.25, 0.3), (1.5, 0.2)]
+        h = mixture_function(MeasureRep(R, atoms=atoms), g, 0, n)
+        for x in (-0.5, 0.7, 2.0):
+            calls.clear()
+            v = h.func(x)
+            assert len(calls) == 1
+            want = sum(mass * chain_t_handle(g, t, 0, n, part=POSITIVE).eval(x)
+                       for t, mass in atoms)
+            assert v == pytest.approx(want, rel=1e-10, abs=1e-14), x
 
     def test_top_derivative_is_the_distribution_function(self):
         # Order n + 1 of h_(0;mu) is mu((-inf, x]), atoms and normal part.
