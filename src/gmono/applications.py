@@ -64,6 +64,7 @@ CHEB_CONSTANT = 384.0 / 245.0
 _MAX_SUPPORT = 200000  # atoms of an exactly enumerated martingale sum
 MAX_POWER = 170  # the normal side's power! stays below float overflow
 MAX_SUMMANDS = 1000  # and so do the binomial coefficients C(n, j)
+MAX_WALK = 1000  # fair-walk steps: 2^-n, an extreme value's mass, is subnormal from 1023
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +286,9 @@ def _real_grid(t_grid) -> list:
 
 
 def fair_walk(n: int) -> MartingaleModel:
-    """n fair +/-1 steps (martingale, s_i = 1)."""
+    """n fair +/-1 steps (martingale, s_i = 1), 1 <= n <= MAX_WALK."""
+    if not 1 <= n <= MAX_WALK:
+        raise DomainError(f"need 1 <= n <= {MAX_WALK} steps, got {n}")
     step = StepLaw((-1.0, 1.0), (0.5, 0.5), 1.0)
     return MartingaleModel((step,) * n, mode="martingale")
 

@@ -26,6 +26,7 @@ from . import acceptance
 from .applications import (
     MAX_POWER,
     MAX_SUMMANDS,
+    MAX_WALK,
     RatioQuery,
     cheb_minimum_scan,
     cheb_ratio,
@@ -201,7 +202,7 @@ def _cmd_wpoly(args, cfg: RunConfig) -> int:
     else:
         h = chain_az_handle(g, args.z, args.i, args.k, args.jj)
         label = f"p_(a,{args.z};{args.i}:{args.k}:{args.jj})"
-    rows = [(float(x), h.eval(float(x))) for x in xs]
+    rows = list(zip(xs.tolist(), h.values(xs).tolist()))
     _emit(
         {"op": "wpoly", "poly": label, "columns": ["x", "value"], "rows": rows},
         cfg,
@@ -482,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_cheb)
 
     p = sub.add_parser("martingale", help="normal domination of a fair walk")
-    p.add_argument("--fair-walk", type=int, required=True, metavar="N")
+    p.add_argument("--fair-walk", type=_int_in(1, MAX_WALK), required=True,
+                   metavar="N")
     p.add_argument("--t-grid", default="-8:8:41")
     p.add_argument("--power", type=_int_in(0, MAX_POWER), default=5)
     p.add_argument("--mc", type=int, default=0)

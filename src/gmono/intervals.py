@@ -676,7 +676,8 @@ def gauge_from_dict(d: dict) -> GaugeSpec:
     """Build a gauge from its JSON form.
 
     {"interval": {...}, "kind": "unit"|"exponential"|"power"|"table",
-     "params": [...]}.  Table params name a registered construction.
+     "params": [...]}.  Table params name a registered construction, and
+    the interval must be the one it is defined on.
     """
     iv = interval_from_dict(d["interval"])
     kind = d["kind"]
@@ -695,6 +696,9 @@ def gauge_from_dict(d: dict) -> GaugeSpec:
                 f"table gauges in files must name one of {sorted(_TABLE_REGISTRY)}"
             )
         g = _TABLE_REGISTRY[params[0]]()
+        if iv != g.interval:
+            raise GaugeError(f"table gauge {params[0]!r} is defined on {g.interval}, "
+                             f"not on {iv}")
         return g
     raise GaugeError(f"unknown gauge kind {kind!r}")
 

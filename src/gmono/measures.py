@@ -563,7 +563,8 @@ def gmoment(nu: MeasureRep, p, breakpoints: Sequence[float] = ()) -> float:
 
     Positive and negative parts are integrated separately; the value may be
     +inf or -inf, and UndefinedMomentError signals that both parts diverge.
-    Atoms are point evaluations.  A normal or Poisson part integrates a
+    Atoms are point evaluations, a handle's as one ``values`` call over
+    the atoms of nonzero mass.  A normal or Poisson part integrates a
     handle whose chain is a ring in x (``WPolyHandle.x_ring``: unit and
     exponential gauges) exactly, through the part's ``integrate_ring``.
     Every other pair (Cauchy and density parts; table and power gauges;
@@ -579,10 +580,10 @@ def gmoment(nu: MeasureRep, p, breakpoints: Sequence[float] = ()) -> float:
         breakpoints = tuple(breakpoints) + (p.family[1],)  # t, or z
     pos = 0.0
     neg = 0.0
-    for x, mass in nu.atoms:
-        if mass == 0.0:
-            continue
-        v = f(x)
+    atoms = [(x, mass) for x, mass in nu.atoms if mass != 0.0]
+    xs = [x for x, _ in atoms]
+    vals = p.values(xs).tolist() if xs and isinstance(p, WPolyHandle) else [f(x) for x in xs]
+    for (_, mass), v in zip(atoms, vals):
         if v > 0:
             pos += mass * v if math.isfinite(v) else math.inf
         elif v < 0:

@@ -10,24 +10,22 @@ Two recursively defined families are provided.
 
 * ``p_{a,z;i:k:j}`` -- starts from the left-anchored ``p_{a;k,j}`` (which
   must be finite) and continues the same descent, but integrating from an
-  interior point z.
+  interior point z.  Without a closed form it is Chen's identity split at
+  z: the sum over c in k..j of p_{a;c,j}(z)/w_c(z) p_{z;i,c}.
 
 Positive parts multiply by the indicator {x >= t} with the convention
 inf * 0 = 0.  Degree-k interpolation at a point is realized through the
 basis property of the first chain.
 
-Evaluation engine: both families are one descent, evaluated by one
-class.  A start (the gauge w_m for the first chain, the evaluator of
-p_{a;k,j} for the second) is integrated from the anchor (t, or z) and
-multiplied by the next gauge, level by level.  The route is picked once
-per chain: exact term arithmetic when the start has a closed form, then a
-single-level antiderivative shortcut for table gauges that provide one,
-then the divergence probe for chains anchored at a, and otherwise the
-one numeric chain integrator ``PanelChain``: composite Clenshaw-Curtis
-panels, each giving the transfer matrix of its levels, composed by Chen's
-identity for iterated integrals.  The same matrices serve a chain
-anchored at one point (walked outward from it), the probe's windows and
-the batched two-argument family (swept across many anchors).  A chain
+Evaluation engine: a chain's route is picked once: exact term arithmetic
+when its start has a closed form, then a single-level antiderivative
+shortcut for table gauges that provide one, then the divergence probe for
+chains anchored at a, and otherwise the one numeric chain integrator
+``PanelChain``: composite Clenshaw-Curtis panels, each giving the
+transfer matrix of its levels, composed by Chen's identity for iterated
+integrals.  Every numeric value is such a product ending at x, whether
+of a chain anchored at one point, of the probe's windows or of the
+batched two-argument family (swept across many anchors).  A chain
 anchored at a finite open a runs in u = log(x - a) under the paper's
 change of scale x = a + e^u, which sends a to u = -inf: one probe serves
 both kinds of left endpoint, and the chain is cut in that probe's
@@ -90,10 +88,6 @@ _PROBE_WINDOWS = 24  # windows of the left-endpoint divergence probe
 # per window) shrinks a tail by 2^-53 over 128 of them and by 1e-10 over 80.
 _TAIL_WINDOWS = (128, 104, 80)
 _FLOAT_RANGE = (OverflowError, ZeroDivisionError, GaugeError)  # range breakdown
-# A left chain's cover whose top lies above a query's own cover is reused
-# for it only while the largest value on the query's panel is within this
-# factor of the query's value.
-_SCALE_FIT = 1e3
 # The numeric route's tolerance for values of a given size, absolute plus
 # relative (``_tolerance``): the panels' two-order agreement test and the
 # divergence probe's decision rules.
@@ -269,17 +263,10 @@ def _cheb_cumulative(n: int) -> np.ndarray:
     return at @ ic.T
 
 
-@functools.cache
-def _at_probes(n: int) -> np.ndarray:
-    """Chebyshev polynomials of degree 0..n (rows) at the 9 equispaced
-    probes of the panels' two-order agreement test (columns)."""
-    return np.polynomial.chebyshev.chebvander(np.linspace(-1.0, 1.0, 9), n).T
-
-
 class PanelChain:
     """Composite Clenshaw-Curtis chain integrator: the transfer matrices of
-    levels j..m over panels, and the chain anchored at a break composed
-    from them.
+    levels j..m over panels, and the chain anchored at a break read from
+    them.
 
     T(t, x) is the unit upper-triangular matrix whose entry [r][c] is the
     ordered iterated integral of w_{j+r+1} ... w_{j+c} over
@@ -292,22 +279,18 @@ class PanelChain:
     second kind's the sign (-1)^(c - r), so products of either kind never
     cancel and keep relative accuracy however small the values are.
 
-    Row r of T(e, y), from the panel's edge e nearer the anchor, is e_r plus
-    the integral from e of w_{j+r+1} times row r + 1, so each gauge level is
-    evaluated once per order, at every panel's Chebyshev nodes;
-    ``start_values``, when given, stands in for the top level's gauge (the
-    start p_{a;k,j} of a second chain).  A panel passes when the entries of
-    its matrix at orders 32 and 48 agree to the tolerance; panels are
-    independent, so only failing ones are bisected and run again.
+    Row r of T(e, y), from the edge e nearer the anchor, is e_r plus the
+    integral from e of w_{j+r+1} times row r + 1, so each gauge level is
+    evaluated once per order, at every panel's Chebyshev nodes.  A panel's
+    matrix is the order-48 one where order 32 agrees with it to the
+    tolerance, and the product of its halves' matrices where not.
 
-    The anchored chain walks outward from the anchor, carrying the column
-    T(t, e)[:, m - j]: on each panel its values at the nodes are row 0 of
-    T(e, node) times that column.  Before the first evaluation those values
-    at orders 32 and 48 must also agree, at 9 probes and to the tolerance of
-    the panel's largest value; a panel that fails is bisected and only its
-    halves are built.  The chain is exactly zero at the anchor, and a value near
-    it is built only from the panels between the two.  The bottom level's
-    gauge w_j never enters the matrices: ``eval`` applies it.
+    A value is one more such product: w_j(x) times row 0 of T(e, x), over
+    the sub-panel from the edge e of x's panel on the anchor's side, times
+    the column T(t, e)[:, m - j], which the cover keeps at every break.
+    It is exactly zero at the anchor.  ``extend`` adds panels on either
+    side and keeps the matrices; a cover anchored at its bottom (the
+    default) stays anchored there.
     """
 
     def __init__(
@@ -315,7 +298,6 @@ class PanelChain:
         gauges: GaugeSpec,
         levels: Sequence[int],
         breaks: np.ndarray,
-        start_values: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         anchor: Optional[float] = None,
     ):
         if len(breaks) < 2:
@@ -323,22 +305,24 @@ class PanelChain:
         self.gauges = gauges
         self.levels = list(levels)
         breaks = np.asarray(breaks, dtype=float)
-        self.lo = float(breaks[0])
-        self.hi = float(breaks[-1])
+        self.lo, self.hi = float(breaks[0]), float(breaks[-1])
+        self._bottom = anchor is None
         self.anchor = self.lo if anchor is None else float(anchor)
         if not self.lo <= self.anchor <= self.hi:
             raise DomainError("anchor outside working interval")
         if self.anchor not in breaks:
             breaks = np.insert(breaks, np.searchsorted(breaks, self.anchor),
                                self.anchor)
-        self.start_values = start_values
-        self._coeffs = None  # the anchored chain per panel, composed on first eval
-        self._build(breaks[:-1], breaks[1:])
+        self.breaks = breaks
+        self.mats = self._transfer(breaks[:-1], breaks[1:],
+                                   int(np.searchsorted(breaks, self.anchor)))
+        self._cols = None  # T(t, b_k)[:, m - j] at the breaks, on first read
 
-    def _ends(self, a: np.ndarray, b: np.ndarray, back: int, order: int):
+    def _ends(self, a: np.ndarray, b: np.ndarray, back: int,
+              order: int) -> np.ndarray:
         """For panels [a_k, b_k], the first ``back`` of them left of the
         anchor: T(e_k, f_k) from the edge e_k nearer the anchor to the far
-        one f_k, and row 0 of T(e_k, node) at the order's nodes."""
+        one f_k."""
         half = ((b - a) / 2.0)[:, None, None]
         xs = a[:, None] + (_cheb_nodes(order) + 1.0) * half[:, 0]
         q_t = _cheb_cumulative(order).T
@@ -349,11 +333,7 @@ class PanelChain:
         ends = np.empty((len(a), size, size))
         ends[:, -1] = row[..., -1]
         for r in range(size - 2, -1, -1):
-            if r == size - 2 and self.start_values is not None:
-                w = np.asarray(self.start_values(xs.ravel()), dtype=float)
-            else:
-                w = self.gauges.values(self.levels[r + 1], xs.ravel())
-            w = w.reshape(xs.shape)
+            w = self.gauges.values(self.levels[r + 1], xs.ravel()).reshape(xs.shape)
             zero = w == 0.0
             if zero.any() and np.any(zero[:, None, :] & (np.abs(row) > 1e250)):
                 raise QuadratureError(
@@ -368,102 +348,90 @@ class PanelChain:
             row[:, r] += 1.0
             ends[:back, r] = row[:back, :, 0]
             ends[back:, r] = row[back:, :, -1]
-        return ends, row
+        return ends
 
-    def _build(self, a: np.ndarray, b: np.ndarray, done: Sequence = ()) -> None:
-        """The cover of the panels [a_k, b_k], bisected until they pass, and
-        of ``done``: (left edges, matrices, rows at orders 32 and 48) of
-        panels that passed already."""
-        done = list(done)
-        for _ in range(9):
-            order = np.argsort(a)  # the panels left of the anchor first
-            a, b = a[order], b[order]
-            back = int(np.searchsorted(a, self.anchor))
-            low, low_row = self._ends(a, b, back, 32)
-            high, high_row = self._ends(a, b, back, 48)
-            ok = np.all(np.abs(low - high) <= _tolerance(np.abs(high)),
-                        axis=(1, 2))
-            keep = slice(None) if ok.all() else ok  # no copy when every panel passed
-            done.append((a[keep], high[keep], low_row[keep], high_row[keep]))
-            a, b = a[~ok], b[~ok]
-            count = sum(len(d[0]) for d in done) + len(a)
-            if not len(a):
-                if len(done) > 1:  # merge the rounds' panels in order
-                    parts = [np.concatenate(d) for d in zip(*done)]
-                    order = np.argsort(parts[0])
-                    done = [[p[order] for p in parts]]
-                los, self.mats, *rows = done[0]
-                self.breaks = np.append(los, self.hi)
-                self._rows = tuple(rows)
-                return
-            if count > 1024:
-                break
-            mid = 0.5 * (a + b)
-            a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-        self._no_convergence(count)
+    def _transfer(self, a: np.ndarray, b: np.ndarray, back: int,
+                  depth: int = 0) -> np.ndarray:
+        """T(e_k, f_k) over the spans [a_k, b_k] as ``_ends`` gives it, at
+        order 48 where order 32 agrees with it to the tolerance; a span
+        where they do not is the product of its two halves'."""
+        high = self._ends(a, b, back, 48)
+        low = self._ends(a, b, back, 32)
+        bad = np.flatnonzero(~np.all(np.abs(low - high) <= _tolerance(np.abs(high)),
+                                     axis=(1, 2)))
+        if len(bad):
+            if depth == 8:
+                raise QuadratureError(
+                    f"panel chain did not converge after {depth} bisections "
+                    f"on [{self.lo}, {self.hi}]")
+            mid = 0.5 * (a[bad] + b[bad])
+            nb = int(np.count_nonzero(bad < back))
+            lower = self._transfer(a[bad], mid, nb, depth + 1)
+            upper = self._transfer(mid, b[bad], nb, depth + 1)
+            # Chen's identity from the near half to the far one.
+            high[bad[:nb]] = lower[:nb] @ upper[:nb]
+            high[bad[nb:]] = upper[nb:] @ lower[nb:]
+        return high
 
-    def _compose(self) -> None:
-        """The anchored chain's Chebyshev coefficients and largest value on
-        each panel, after the two orders' agreement test at the probes."""
+    def extend(self, lo: float, hi: float) -> None:
+        """Grow the cover to [lo, hi] by new panels below and above it."""
+        below = _panel_breaks(lo, self.lo)[:-1] if lo < self.lo else []
+        above = _panel_breaks(self.hi, hi)[1:] if hi > self.hi else []
+        if len(below) or len(above):
+            breaks = np.concatenate([below, self.breaks, above])
+            k, n = len(below), len(self.mats)
+            new = np.r_[0:k, k + n:len(breaks) - 1]  # the new panels
+            mats = self._transfer(breaks[new], breaks[new + 1], 0 if self._bottom else k)
+            self.mats = np.concatenate([mats[:k], self.mats, mats[k:]])
+            self.breaks, self.lo, self.hi = breaks, float(breaks[0]), float(breaks[-1])
+            self.anchor = self.lo if self._bottom else self.anchor
+            self._cols = None
+
+    def _prefix(self) -> np.ndarray:
+        """T(t, b_k)[:, m - j] at every break b_k, walked outward from the
+        anchor t."""
         size = len(self.levels)
-        for _ in range(9):
-            cols = np.empty((len(self.mats), size))  # T(t, e_k)[:, m - j]
-            at = int(np.searchsorted(self.breaks, self.anchor))
-            for ks in (range(at, len(self.mats)), range(at - 1, -1, -1)):  # outward
-                col = np.eye(size)[-1]
-                for k in ks:
-                    cols[k] = col
-                    col = self.mats[k] @ col
-            low, high = (_cheb_coeffs(np.einsum("kc,kcn->kn", cols, rows))
-                         for rows in self._rows)
-            cv = high @ _at_probes(48)
-            scale = np.max(np.abs(cv), axis=1)
-            err = np.max(np.abs(low @ _at_probes(32) - cv), axis=1)
-            bad = np.flatnonzero(~(err <= _tolerance(scale)))
-            if not len(bad):
-                self._coeffs, self._scale = high, scale
-                return
-            if len(self.breaks) > 1024:
-                break
-            a, b = self.breaks[bad], self.breaks[bad + 1]
-            mid = 0.5 * (a + b)
-            passed = [np.delete(p, bad, axis=0)
-                      for p in (self.breaks[:-1], self.mats, *self._rows)]
-            self._build(np.r_[a, mid], np.r_[mid, b], [passed])
-        self._no_convergence(len(self.breaks) - 1)
+        cols = np.empty((len(self.breaks), size))
+        at = int(np.searchsorted(self.breaks, self.anchor))
+        cols[at] = np.eye(size)[-1]
+        for k in range(at, len(self.mats)):  # rightward
+            cols[k + 1] = self.mats[k] @ cols[k]
+        for k in range(at - 1, -1, -1):  # leftward
+            cols[k] = self.mats[k] @ cols[k + 1]
+        return cols
 
-    def _no_convergence(self, panels: int):
-        raise QuadratureError(
-            f"panel chain did not converge with {panels} panels on "
-            f"[{self.lo}, {self.hi}]"
-        )
-
-    def _panel_of(self, x: float) -> int:
-        p = int(np.searchsorted(self.breaks, x, side="right") - 1)
-        return min(max(p, 0), len(self.breaks) - 2)
-
-    def fits(self, x: float) -> bool:
-        """Whether the largest value on x's panel, to which the panel's
-        agreement test scales its tolerance, is within _SCALE_FIT of the
-        value at x: where it is not, that value may have lost its
-        relative accuracy."""
-        v = abs(self.eval(x, 1.0))
-        return self._scale[self._panel_of(x)] <= _SCALE_FIT * v
+    def values(self, xs: np.ndarray, final: Optional[np.ndarray] = None) -> np.ndarray:
+        """Values at each of xs; ``final``, when given, stands in for the
+        bottom level's gauge factor w_j at each x."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.size and not (self.lo <= xs.min() and xs.max() <= self.hi):
+            raise DomainError("query outside working interval")
+        if self._cols is None:
+            self._cols = self._prefix()
+        at = np.searchsorted(self.breaks, xs)  # breaks[at - 1] < x <= breaks[at]
+        inside = self.breaks[at] != xs
+        left = xs < self.anchor
+        edge = np.where(left | ~inside, at, at - 1)  # on the anchor's side
+        v = self._cols[edge, 0]  # at a break: T(t, x)[0][m - j]
+        k = np.flatnonzero(inside)
+        if len(k):
+            k = k[np.argsort(~left[k], kind="stable")]  # left of the anchor first
+            near = self.breaks[edge[k]]
+            ends = self._transfer(np.minimum(near, xs[k]), np.maximum(near, xs[k]),
+                                  int(np.count_nonzero(left[k])))
+            cols = self._cols[edge[k]]  # one order of summation for every x
+            v[k] = sum(ends[:, 0, c] * cols[:, c] for c in range(len(self.levels)))
+        if final is None:
+            final = self.gauges.values(self.levels[0], xs)
+        v = v * final
+        if len(self.levels) > 1:
+            v[xs == self.anchor] = 0.0  # the integral from the anchor to itself
+        return v
 
     def eval(self, x: float, final: Optional[float] = None) -> float:
-        """Value at x; ``final``, when given, stands in for the bottom
-        level's gauge factor w_j(x)."""
-        if not self.lo <= x <= self.hi:
-            raise DomainError("query outside working interval")
-        if x == self.anchor and len(self.levels) > 1:
-            return 0.0  # the integral from the anchor to itself
-        if self._coeffs is None:
-            self._compose()
-        p = self._panel_of(x)
-        a, b = self.breaks[p], self.breaks[p + 1]
-        u = 2.0 * (x - a) / (b - a) - 1.0
-        v = float(np.polynomial.chebyshev.chebval(u, self._coeffs[p]))
-        return v * (self.gauges.value(self.levels[0], x) if final is None else final)
+        """``values`` at the one point x."""
+        return float(self.values(np.array([x], dtype=float),
+                                 None if final is None else np.array([final]))[0])
 
 
 def _tolerance(scale):
@@ -543,13 +511,14 @@ class _Descent:
     integrates from ``anchor`` and multiplies by that level's gauge.
 
     p_{t;j,m} starts from the gauge level m (an int) with anchor t, and
-    p_{a,z;i:k:j} starts from the evaluator of p_{a;k,j} with anchor z.
-    The route is picked once: the closed-form descent when the start has an
-    ExpPoly form (the second chain takes its start's ring as it is), then
-    the one-level antiderivative shortcut, then the left-endpoint probe,
-    and otherwise a PanelChain built on first eval.
-    A chain anchored at a runs in its ``_LeftFrame``, where a is u = -inf;
-    the second chain stays in x.
+    p_{a,z;i:k:j} with a closed-form start p_{a;k,j} starts from that
+    chain's evaluator with anchor z.  The route is picked once: the
+    closed-form descent when the start has an ExpPoly form (the second
+    chain takes its start's ring as it is), then the one-level
+    antiderivative shortcut, then the left-endpoint probe, and otherwise
+    one PanelChain cover, built on the first evaluation and grown by
+    later ones that fall outside it.  A chain anchored at a runs in its
+    ``_LeftFrame``, where a is u = -inf.
     """
 
     def __init__(self, g: GaugeSpec, start, levels: Sequence[int],
@@ -574,7 +543,7 @@ class _Descent:
             return
         if not levels:
             return
-        if isinstance(start, int) and len(levels) == 1:
+        if len(levels) == 1:
             anti = g.antideriv(start)
             if anti is not None:
                 lo_val = anti(t)
@@ -585,7 +554,6 @@ class _Descent:
                 return
         iv = g.interval
         if math.isinf(t) or (t == iv.a and not iv.left_closed):
-            # Anchored at a, so this is the first chain: start is a level.
             frame = _left_frame(g, start)
             finite, depth = _probe_left_chain(frame, levels[-1], start)
             if not finite:
@@ -593,79 +561,70 @@ class _Descent:
             else:
                 self._left = (frame, depth)
 
-    def _start_values(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([self.start.eval(float(u)) for u in xs])
-
-    def _chain_for(self, x: float) -> PanelChain:
-        """The PanelChain covering x, a point of the left frame if anchored at a."""
-        old = self._panel
-        left = self._left is not None
-        if old is not None and old.lo <= x <= old.hi and not left:
-            return old
-        if left:
-            # Cut in the probe's windows, which end at the probe point ref.
-            frame, depth = self._left
-            g, ref = frame.gauges, frame.x0
-            if x < frame.floor:
-                raise InconclusiveError(f"x - a = e^{x} is too close to a to resolve")
-            cuts = frame.cuts(depth, x)
-            # Reach 0.5 past x; at a finite a, where x - a = e^x, at most 1
-            # past it in x as well, so that a fast-growing gauge is not
-            # evaluated at e^0.5 times the query.
-            reach = x + 0.5 if math.isinf(frame.floor) else min(
-                x + 0.5, math.log1p(math.exp(x)))
-            lo, hi = cuts[0], min(max(reach, ref), g.interval.b)
-            if old is not None and old.lo <= x <= old.hi:
-                # A panel is accurate relative to its own largest value:
-                # where x's panel reaches above x's own cover and its
-                # scale does not fit x, rebuild for x alone.
-                if old.breaks[old._panel_of(x) + 1] <= hi or old.fits(x):
-                    return old
-                old = None
-        else:
-            # Interior anchor: a working interval around the anchor and x.
-            g, ref = self.g, self.anchor
-            pad = 0.5 * (1.0 + abs(x - ref))
-            lo = max(min(ref, x) - pad, g.interval.a)
-            hi = min(max(ref, x) + pad, g.interval.b)
-        iv = g.interval
-        if old is not None:
-            # Grow the cover toward x, at least doubling its reach past
-            # ref on that side, and keep the far side, so that queries on
-            # alternating sides do not rebuild it each time.  In u =
-            # log(x - a) a doubled reach is a power of x - a, so a finite
-            # a grows only to x's own reach.
-            lo, hi = min(lo, old.lo), max(hi, old.hi)
-            if x > old.hi and not (left and math.isfinite(frame.floor)):
-                hi = min(max(hi, 2.0 * old.hi - ref), iv.b)
-            elif x < old.lo and not left:  # a left truncation deepens with x
-                lo = max(min(lo, 2.0 * old.lo - ref), iv.a)
+    def _cover(self, xs: list) -> PanelChain:
+        """The PanelChain covering every x of xs, points of the left frame
+        if anchored at a: built by the first call, grown toward a later
+        call's points that fall outside it."""
+        old, x_lo, x_hi = self._panel, min(xs), max(xs)
         levels = range(self.levels[-1], self.levels[0] + 2)  # bottom to top
-        if left:
-            # The deepest cut at which every gauge stays in float range (one
-            # may overflow near a) and that still leaves a negligible tail.
-            for cut in [lo] + [c for c in cuts[1:] if c > lo]:
-                try:
+        if self._left is None:
+            # Interior anchor: a working interval around the anchor and xs,
+            # grown by at least doubling its reach past ref on a side, so
+            # that queries on alternating sides do not add panels each time.
+            g, ref = self.g, self.anchor
+            iv = g.interval
+            pad = 0.5 * (1.0 + max(ref - x_lo, x_hi - ref))
+            lo = max(min(ref, x_lo) - pad, iv.a)
+            hi = min(max(ref, x_hi) + pad, iv.b)
+            if old is not None:
+                old.extend(max(min(lo, 2.0 * old.lo - ref), iv.a) if x_lo < old.lo else old.lo,
+                           min(max(hi, 2.0 * old.hi - ref), iv.b) if x_hi > old.hi else old.hi)
+            elif lo < hi:
+                self._panel = PanelChain(g, levels, _panel_breaks(lo, hi), anchor=ref)
+            else:
+                raise DomainError("cannot build working interval")
+            return self._panel
+        # Cut in the probe's windows, which end at the probe point x0.
+        frame, depth = self._left
+        g, finite_a = frame.gauges, math.isfinite(frame.floor)
+        if x_lo < frame.floor:
+            raise InconclusiveError(f"x - a = e^{x_lo} is too close to a to resolve")
+        cuts = frame.cuts(depth, x_lo)  # the lowest point cuts deepest
+        # Reach 0.5 past x; at a finite a, where x - a = e^x, at most 1 past
+        # it in x as well, so that a fast-growing gauge is not evaluated at
+        # e^0.5 times the query.  There a doubled reach in u would be a
+        # power of x - a, so the cover grows only to the query's own reach.
+        reach = min(x_hi + 0.5, math.log1p(math.exp(x_hi))) if finite_a else x_hi + 0.5
+        hi = min(max(reach, frame.x0), g.interval.b)
+        if old is not None and x_hi <= old.hi:
+            hi = old.hi
+        elif old is not None and not finite_a:
+            hi = min(max(hi, 2.0 * old.hi - frame.x0), g.interval.b)
+        # The deepest cut at which every gauge stays in float range (one
+        # may overflow near a) and that still leaves a negligible tail.
+        for cut in [cuts[0]] + [c for c in cuts[1:] if c > cuts[0]]:
+            try:
+                if old is None:
                     self._panel = PanelChain(g, levels, _panel_breaks(cut, hi))
-                    return self._panel
-                except _FLOAT_RANGE as exc:
-                    err = exc
-            raise InconclusiveError(
-                f"no cut from {lo} to {cut} keeps the gauges in float range"
-            ) from err
-        elif lo < hi:
-            # A second chain's top level is its start, p_{a;k,j}.
-            start = None if isinstance(self.start, int) else self._start_values
-            self._panel = PanelChain(
-                g,
-                levels=levels,
-                breaks=_panel_breaks(lo, hi),
-                start_values=start,
-                anchor=ref,
-            )
-        else:
-            raise DomainError("cannot build working interval")
-        return self._panel
+                else:
+                    old.extend(min(cut, old.lo), hi)
+                return self._panel
+            except _FLOAT_RANGE as exc:
+                err = exc
+        raise InconclusiveError(
+            f"no cut from {cuts[0]} to {cut} keeps the gauges in float range"
+        ) from err
+
+    def _frame_points(self, xs: list) -> tuple:
+        """xs as points of the cover's frame, and the bottom level's gauge
+        factors there (None: the cover's own).  For a finite a, x = a + e^u,
+        and the factor is w_j at x itself: the frame's w_j(a + e^u)
+        e^u^[j >= 1] over (x - a)^[j >= 1]."""
+        a = self.anchor
+        if self._left is None or math.isinf(a):
+            return xs, None
+        return ([math.log(x - a) for x in xs],
+                np.array([self.g.value(self.levels[-1], x) for x in xs]))
 
     def eval(self, x: float) -> float:
         if self.levels:
@@ -676,14 +635,17 @@ class _Descent:
         if self._exact is None:
             if not self.levels:
                 return self.g.value(self.start, x)
-            if self._left is None:
-                return self._chain_for(x).eval(x)
-            # For a finite a, x = a + e^u, and the bottom level's factor is
-            # w_j at x itself: the frame's w_j(a + e^u) e^u^[j >= 1] over
-            # (x - a)^[j >= 1].
-            u = x if math.isinf(self.anchor) else math.log(x - self.anchor)
-            return self._chain_for(u).eval(u, self.g.value(self.levels[-1], x))
+            (u,), final = self._frame_points([x])
+            return self._cover([u]).eval(u, None if final is None else final[0])
         return self._exact.eval(x if self._log_base is None else _ring_u(self.g, x))
+
+    def values(self, xs: list) -> np.ndarray:
+        """eval at each float of xs: the numeric route reads its cover once
+        for all of them, and every other route is eval's own arithmetic."""
+        if self._exact is not None or self.divergent or not self.levels or not xs:
+            return np.array([self.eval(x) for x in xs], dtype=float)
+        us, final = self._frame_points(xs)
+        return self._cover(us).values(us, final)
 
 
 class _OneLevel:
@@ -1059,6 +1021,17 @@ class WPolyHandle:
 
     __call__ = eval
 
+    def values(self, xs) -> np.ndarray:
+        """eval at each of xs, from one call of the evaluator."""
+        xs = [float(x) for x in xs]
+        for x in xs:
+            self.gauges.interval.require(x)
+        if self.part == FULL:
+            return self._full_evaluator().values(xs)
+        t, pos = self.family[1], self.part == POSITIVE  # 0.0 off the part's side
+        vals = iter(self._full_evaluator().values([x for x in xs if (x >= t) == pos]).tolist())
+        return np.array([next(vals) if (x >= t) == pos else 0.0 for x in xs])
+
     def _full_evaluator(self):
         ev = self._state.get("ev")
         if ev is None:
@@ -1159,17 +1132,21 @@ def _x_poly(ev) -> Optional[ExpPoly]:
 
 
 class _InterpSum:
-    """sum_l c_l p_{z;0,l} via per-term chain evaluators."""
+    """sum_l c_l p_{z;i,l} via per-term chain evaluators (i = ``level``)."""
 
-    def __init__(self, g: GaugeSpec, z: float, coeffs):
+    def __init__(self, g: GaugeSpec, z: float, coeffs, level: int = 0):
         self.parts = [
-            (c, _chain_t(g, z, 0, l))
+            (c, _chain_t(g, z, level, l))
             for l, c in enumerate(coeffs)
             if c != 0.0
         ]
 
     def eval(self, x: float) -> float:
         return math.fsum(c * ev.eval(x) for c, ev in self.parts)
+
+    def values(self, xs: list) -> np.ndarray:
+        terms = [c * ev.values(xs) for c, ev in self.parts] or [np.zeros(len(xs))]
+        return np.array([math.fsum(vs) for vs in zip(*terms)])
 
 
 def _build_evaluator(g: GaugeSpec, family: tuple):
@@ -1191,7 +1168,16 @@ def _build_evaluator(g: GaugeSpec, family: tuple):
             return start
         if k == j:  # p_{a;k,k} = w_k, so this is p_{z;i,k}
             return _chain_t(g, z, i, k)
-        return _Descent(g, start, range(k - 1, i - 1, -1), z)
+        if isinstance(start._exact, ExpPoly):
+            return _Descent(g, start, range(k - 1, i - 1, -1), z)
+        # Chen's identity split at z: p_{a,z;i:k:j} is the sum over c in
+        # k..j of p_{a;c,j}(z)/w_c(z) p_{z;i,c}, with coefficient 1 at c = j.
+        a = g.interval.a
+        coeffs = [0.0] * k + [
+            (start if c == k else _chain_t(g, a, c, j)).eval(z) / g.value(c, z)
+            for c in range(k, j)
+        ] + [1.0]
+        return _InterpSum(g, z, coeffs, level=i)
     if tag == "interp":
         _, z, coeffs = family
         return _InterpSum(g, z, coeffs)

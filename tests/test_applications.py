@@ -9,6 +9,7 @@ import pytest
 from gmono import DomainError, ExponentialGauge, Interval, UnitGauge, stein_gauges
 from gmono.applications import (
     CHEB_CONSTANT,
+    MAX_WALK,
     MartingaleModel,
     RatioQuery,
     StepLaw,
@@ -133,6 +134,11 @@ class TestMartingale:
         rep = martingale_dominance(fair_walk(5), np.linspace(-8, 8, 41))
         assert rep.holds
         assert all(r[3] >= 0 for r in rep.rows)
+
+    @pytest.mark.parametrize("n", [0, -1, MAX_WALK + 1])
+    def test_fair_walk_outside_its_range(self, n):
+        with pytest.raises(DomainError):
+            fair_walk(n)
 
     def test_degenerate_n0(self):
         model = MartingaleModel(steps=(), mode="martingale")

@@ -6,10 +6,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gmono
 from gmono.cli import main
+from gmono.intervals import gauge_from_dict
+from gmono.wpoly import chain_az_handle, chain_t_handle
 
 GAUGES_UNIT = {"interval": {"a": "-inf", "b": "inf"}, "kind": "unit", "params": []}
 GAUGES_61 = {
@@ -168,8 +171,12 @@ class TestExitCodes:
         ("nu1", {"atoms": [[0.0, math.nan]]}),
         # an exppoly term that is not an object
         ("function", {"name": "exppoly", "terms": [5]}),
+        # a table gauge on an interval other than the one it is defined on
+        ("gauges", {"interval": {"a": 0, "b": 1}, "kind": "table",
+                    "params": ["arctan_cheb"]}),
     ], ids=["table-params-object", "atom-mass-string", "measure-top-level-array",
-            "poisson-lam-infinity", "atom-mass-nan", "exppoly-term-number"])
+            "poisson-lam-infinity", "atom-mass-nan", "exppoly-term-number",
+            "table-gauge-interval"])
     def test_malformed_file_content_is_two(self, files, tmp_path, capsys, bad):
         which, payload = bad
         path = tmp_path / "bad.json"
@@ -238,8 +245,13 @@ class TestExitCodes:
         ["martingale", "--fair-walk", "4", "--power", "-1"],
         ["left-chain", "--n", "1001", "--m", "2", "--s", "0.4"],
         ["martingale", "--fair-walk", "4", "--power", "171"],
+        ["martingale", "--fair-walk", "0"],
+        ["martingale", "--fair-walk=-1"],
+        ["martingale", "--fair-walk", "1001"],
     ], ids=["left-chain-no-summands", "martingale-negative-power",
-            "left-chain-past-cap", "martingale-power-past-cap"])
+            "left-chain-past-cap", "martingale-power-past-cap",
+            "martingale-empty-walk", "martingale-negative-walk",
+            "martingale-walk-past-cap"])
     def test_out_of_range_count_is_two(self, capsys, argv):
         code = main(argv)
         captured = capsys.readouterr()
@@ -249,9 +261,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["left-chain", "--n", "1000", "--m", "2", "--s", "0.4"],
         ["martingale", "--fair-walk", "4", "--power", "170"],
-    ], ids=["left-chain", "martingale"])
+        ["martingale", "--fair-walk", "1000"],
+    ], ids=["left-chain", "martingale", "martingale-walk"])
     def test_count_at_its_cap_runs(self, capsys, argv):
-        # One past each cap overflowed a float (exit 4) before the cap.
+        # One past the left-chain and power caps overflowed a float (exit 4)
+        # before those caps; at the walk's cap its extreme masses are normal.
         code = main(["--format", "json", *argv])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0 and payload["holds"] is True
@@ -392,6 +406,43 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["rows"] == [[-1.0, 0.0], [0.5, 0.125], [2.0, 2.0]]
+
+    @pytest.mark.parametrize("gauges", [
+        GAUGES_UNIT,
+        GAUGES_61,
+        {"interval": {"a": 1, "b": 6}, "kind": "power", "params": [1, 0.5, -1, 0, 2]},
+        {"interval": {"a": "-inf", "b": "inf"}, "kind": "table",
+         "params": ["arctan_cheb"]},
+    ], ids=["unit", "exponential", "power", "arctan_cheb"])
+    def test_wpoly_grid_is_the_per_point_values(self, tmp_path, capsys, gauges):
+        # The grid is one batched read; its output is byte for byte the
+        # report built from one handle evaluation per point.
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(gauges))
+        g = gauge_from_dict(gauges)
+        lo, hi = max(g.interval.a, -2.0), min(g.interval.b, 4.0)
+        grid = f"{lo + 0.125}:{hi - 0.125}:13"
+        t, z = lo + 0.5, lo + 1.5
+        top = 1 if g.kind == "table" else 3
+        cases = [
+            (["--family", "t", f"--t={t}", "--j", "0", "--m", str(top),
+              "--part", part], chain_t_handle(g, t, 0, top, part),
+             f"p_({t};0,{top})[{part}]")
+            for part in ("full", "positive", "negative")
+        ] + [
+            (["--family", "az", f"--z={z}", "--i", "0", "--k", str(top),
+              "--jj", str(top)], chain_az_handle(g, z, 0, top, top),
+             f"p_(a,{z};0:{top}:{top})"),
+        ]
+        xs = np.linspace(lo + 0.125, hi - 0.125, 13)
+        for argv, h, label in cases:
+            assert main(["--format", "json", "wpoly", "--gauges", str(path),
+                         *argv, f"--x={grid}"]) == 0
+            rows = [(float(x), h.eval(float(x))) for x in xs]
+            want = json.dumps({"schema": "gmono/1", "op": "wpoly", "poly": label,
+                               "columns": ["x", "value"], "rows": rows},
+                              sort_keys=True, allow_nan=True)
+            assert capsys.readouterr().out == want + "\n"
 
     def test_taylor_profile(self, files, capsys):
         code = main([

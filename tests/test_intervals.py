@@ -301,6 +301,14 @@ class TestSerialization:
         g = gauge_from_dict(d)
         assert g.value(0, 0.0) == pytest.approx(math.pi)
 
+    @pytest.mark.parametrize("name", ["arctan_cheb", "stein"])
+    def test_table_gauge_keeps_its_interval(self, name):
+        # A registered table gauge is defined on the real line; a file that
+        # names another interval for it is rejected, not silently widened.
+        for iv in ({"a": 0, "b": 1}, {"a": "-inf", "b": 0}, {"a": 0, "b": "inf"}):
+            with pytest.raises(GaugeError, match="defined on"):
+                gauge_from_dict({"interval": iv, "kind": "table", "params": [name]})
+
     def test_unknown_kind(self):
         with pytest.raises(GaugeError):
             gauge_from_dict({"interval": {"a": 0, "b": 1}, "kind": "nope"})

@@ -5,6 +5,9 @@
 of a module would make a traced run fail, and no test here runs one.
 """
 
+import math
+import sys
+
 import pytest
 
 from gmono import dual_cone, intervals, measures, wpoly
@@ -33,3 +36,22 @@ PATCH_POINTS = [
 def test_patch_point_is_own_attribute(owner, name):
     assert name in owner.__dict__
     assert callable(owner.__dict__[name])
+
+
+def test_interior_cover_passes_its_anchor_by_keyword(monkeypatch):
+    # wpoly.panel_build.per_chain counts the builds that pass anchor= as a
+    # keyword, per chain evaluator found as the caller's ``self``.
+    builds = []
+    init = wpoly.PanelChain.__init__
+
+    def recording(chain, *args, **kwargs):
+        builds.append((kwargs.get("anchor"), sys._getframe(1).f_locals.get("self")))
+        init(chain, *args, **kwargs)
+
+    monkeypatch.setattr(wpoly.PanelChain, "__init__", recording)
+    g = intervals.TableGauge(intervals.Interval(-math.inf, math.inf),
+                             [lambda x: 1.0, math.exp, lambda x: 1.0])
+    h = wpoly.chain_t_handle(g, 0.5, 0, 2)
+    for x in (1.0, -3.0, 9.0):
+        h.eval(x)
+    assert builds == [(0.5, h._full_evaluator())]

@@ -807,18 +807,17 @@ class TestFiniteOpenLeftEndpoint:
 
     def test_cover_reuse_keeps_relative_accuracy(self):
         # After a query at 500 the cover's top panel spans x from about 67
-        # to 501, and e^450 is far below that panel's largest value: the
-        # handle rebuilds for 450 instead of reading it off that panel
-        # (which was 7.8e-7 off relative).
+        # to 501, and e^450 is far below that panel's largest value: 450 is
+        # read over the sub-panel from the panel's lower edge, not off an
+        # interpolant of the whole panel (which was 7.8e-7 off relative).
         g = TableGauge(Interval(0.0, math.inf), [lambda x: 1.0, math.exp])
         h = chain_t_handle(g, 0.0, 0, 1)
         for x in (500.0, 450.0, 300.0, 500.0, 450.0):
             assert h.eval(x) == pytest.approx(math.expm1(x), rel=1e-12), x
 
     def test_probe_failure_rebuilds_only_its_panels(self, monkeypatch):
-        # The anchored chain's probe test fails on some panels of these
-        # covers; each is bisected and built again, and a panel that
-        # passed is not: no cover builds one panel twice at one order.
+        # The queries grow one cover, and each read is a sub-panel of its
+        # own: no panel or sub-panel is built twice at one order.
         built = []
         ends = wpoly.PanelChain._ends
 
@@ -890,8 +889,8 @@ class TestPanelChain:
             assert abs(pc.eval(x) - want) <= 1e-10 * (1.0 + abs(want)), x
 
     def test_alternating_queries_grow_one_cover(self, monkeypatch):
-        # Queries on alternating sides of the anchor grow the working
-        # interval instead of replacing it around each query.
+        # Queries on alternating sides of the anchor add panels to the one
+        # cover instead of replacing it around each query.
         builds = []
 
         class Counting(wpoly.PanelChain):
@@ -903,11 +902,104 @@ class TestPanelChain:
         xs = [s * float(v) for v in np.linspace(3.0, 0.5, 10) for s in (1.0, -1.0)]
         alternating = chain_t_handle(table_clone([1.0, 1.0, 1.0]), 0.0, 0, 2)
         got = {x: alternating.eval(x) for x in xs}
-        assert len(builds) <= 2
+        assert builds == [0.0]
         ascending = chain_t_handle(table_clone([1.0, 1.0, 1.0]), 0.0, 0, 2)
         for x in sorted(xs):
             want = ascending.eval(x)
             assert abs(got[x] - want) <= 1e-12 * (1.0 + abs(want)), x
+
+
+class TestTransferReads:
+    """Every numeric chain value is a transfer product ending at x: the
+    cover's column at the edge of x's panel, times row 0 of T(e, x) over
+    the sub-panel between them."""
+
+    LAMS61 = [0.0, 0.0, 0.0, -1.0, 2.0, 1.0]
+
+    def test_61_clone_near_the_anchor(self):
+        # p_{0;0,5} on the table clone of the section 6.1 gauges, against
+        # 60-digit references: an interpolant over the whole panel gave
+        # -6.35e-22 at -1e-4 and 0.0 at 1e-4.
+        want = {-1e-4: -8.33305556548e-23, 1e-4: 8.33361112103e-23,
+                1e-3: 8.33611210342e-18, -1e-3: -8.33055654737e-18}
+        for order in (list(want), list(want)[::-1]):
+            h = chain_t_handle(table_clone(self.LAMS61), 0.0, 0, 5)
+            for x in order:
+                assert h.eval(x) == pytest.approx(want[x], rel=1e-9), x
+        h = chain_t_handle(table_clone(self.LAMS61), 0.0, 0, 5)
+        assert h.values(list(want)) == pytest.approx(list(want.values()), rel=1e-9)
+
+    @pytest.mark.parametrize("g, t, j, m", [
+        (table_clone(LAMS61), 0.0, 0, 5),
+        (table_clone(LAMS61), -0.7, 1, 4),
+        (table_clone([0.5, -1.0, 1.0, 0.3]), 0.4, 0, 3),
+        (arctan_cheb_gauges(), 0.3, 0, 1),
+        (table_clone([0.5, -1.0, 1.0, 0.3], Interval(0.0, math.inf)), 0.2, 0, 3),
+        (table_clone([0.5, -1.0, 1.0, 0.3], Interval(-2.0, math.inf)), -1.5, 0, 2),
+        (table_clone([0.5, -1.0, 1.0, 0.3], Interval(0.0, math.inf, True)), 0.0, 0, 3),
+    ], ids=["61", "61-inner", "clone", "arctan", "open-a", "open-a-2", "closed-a"])
+    def test_scalar_handles_are_the_two_arg_family(self, g, t, j, m):
+        # The family's cells from one cover with x as a break, the handle's
+        # value from its own cover, queried far from the anchor first.
+        fam = chain_t_two_arg(g, j, m)
+        h = chain_t_handle(g, t, j, m)
+        for x in [t] + (t + np.geomspace(2.5, 1e-9, 15)).tolist():
+            want = fam(t, x)
+            assert abs(h.eval(x) - want) <= 1e-13 * abs(want), x
+
+    @pytest.mark.parametrize("make", [
+        lambda: chain_t_handle(UnitGauge(R), 0.3, 0, 3),
+        lambda: chain_t_handle(G61, 0.0, 0, 5, part=POSITIVE),
+        lambda: chain_t_handle(PowerGauge(Interval(1.0, 6.0), 1.0, [0.5, -1.0, 2.0]),
+                               1.0, 0, 2),
+        lambda: chain_t_handle(arctan_cheb_gauges(), 0.3, 0, 1),
+        lambda: chain_t_handle(arctan_cheb_gauges(), -math.inf, 0, 1),
+        lambda: chain_t_handle(table_clone([0.0, 0.0, 0.0, -1.0, 2.0, 1.0]), 0.0, 0, 5),
+        lambda: chain_t_handle(table_clone([1.0, 1.0, 1.0]), 0.2, 0, 2, part=NEGATIVE),
+        lambda: chain_t_handle(table_clone([0.5, -1.0, 1.0, 0.3]), -math.inf, 1, 3),
+        lambda: chain_t_handle(table_clone([0.5, -1.0, 1.0, 0.3],
+                                           Interval(0.0, math.inf)), 0.0, 0, 2),
+        lambda: chain_az_handle(table_clone([0.5, -1.0, 1.0, 0.3]), 0.6, 0, 1, 3),
+        lambda: chain_az_handle(G61, 0.0, 0, 2, 5),
+        lambda: interpolate(table_clone([1.0, 0.5, -0.5]), 0.1, [1.0, -2.0, 0.5]),
+    ], ids=["unit", "exponential", "power", "one-level", "one-level-left",
+            "panel", "panel-negative", "left-frame", "left-frame-open-a",
+            "second-chain-sum", "second-chain-closed", "interp"])
+    def test_values_are_eval_bit_for_bit(self, make):
+        h = make()
+        a = max(h.gauges.interval.a, -2.5)
+        xs = (a + np.geomspace(1e-5, 4.5, 40)).tolist() + [h.family[1]] * math.isfinite(
+            h.family[1])
+        xs = [x for x in xs if h.gauges.interval.contains(x)]
+        batch = h.values(xs)
+        single = [h.eval(x) for x in xs]
+        assert [v.hex() for v in batch.tolist()] == [v.hex() for v in single]
+        fresh = make()  # one point at a time first, then the batch
+        single = [fresh.eval(x) for x in xs]
+        assert [v.hex() for v in fresh.values(xs).tolist()] == [v.hex() for v in single]
+
+    @pytest.mark.parametrize("iv", [R, Interval(0.0, math.inf),
+                                    Interval(0.0, math.inf, True)],
+                             ids=["R", "open-a", "closed-a"])
+    def test_second_chain_sum_is_the_closed_form(self, iv):
+        # p_{a,z;i:k:j} = sum over c in k..j of p_{a;c,j}(z)/w_c(z) p_{z;i,c}.
+        lams = [0.5, -1.0, 1.0, 0.3, 1.5]
+        g, ge = table_clone(lams, iv), ExponentialGauge(iv, lams)
+        fs = finiteness_set(ge, 4)
+        lo = max(iv.a, -3.0)
+        xs = np.linspace(lo + 1e-3, 3.0, 17).tolist()
+        seen = 0
+        for i, k, j in [(0, 1, 2), (0, 1, 3), (1, 2, 3), (0, 2, 4), (1, 3, 4), (0, 1, 4)]:
+            if not fs.contains(k, j):
+                continue
+            seen += 1
+            for z in (lo + 0.5, 1.2):
+                got = chain_az_handle(g, z, i, k, j).values(xs)
+                he = chain_az_handle(ge, z, i, k, j)
+                for x, v in zip(xs, got.tolist()):
+                    want = he.eval(x)
+                    assert abs(v - want) <= 1e-10 * (1.0 + abs(want)), (i, k, j, z, x)
+        assert seen >= 3
 
 
 class TestParts:
@@ -1239,7 +1331,7 @@ class TestMemoization:
 
     def test_panel_route_repeat_after_cover_growth(self):
         # Values are not memoized: a far query grows the panel cover, and
-        # the rebuilt cover must give the first point's value again.
+        # the grown cover must give the first point's value again.
         h = chain_t_handle(table_clone([0.0, 0.0, 0.0, -1.0, 2.0, 1.0]), 0.0, 0, 5)
         v1 = h.eval(0.7)
         ev = h._full_evaluator()
