@@ -65,6 +65,7 @@ _MAX_SUPPORT = 200000  # atoms of an exactly enumerated martingale sum
 MAX_POWER = 170  # the normal side's power! stays below float overflow
 MAX_SUMMANDS = 1000  # and so do the binomial coefficients C(n, j)
 MAX_WALK = 1000  # fair-walk steps: 2^-n, an extreme value's mass, is subnormal from 1023
+MAX_MC = 1_000_000  # Monte Carlo draws: one float array of that length, 8 MB
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +317,13 @@ def martingale_dominance(
     Exact pmf enumeration by default; mc_samples > 0 switches to a seeded
     Monte Carlo fallback whose report refuses a "holds" verdict when any
     margin is within three standard errors of zero.  Every grid point must
-    be a real number, and 0 <= power <= MAX_POWER.
+    be a real number, 0 <= power <= MAX_POWER and 0 <= mc_samples <= MAX_MC;
+    a point whose partial moment leaves float range raises DomainError.
     """
     if not 0 <= power <= MAX_POWER:
         raise DomainError(f"need 0 <= power <= {MAX_POWER}, got {power}")
+    if not 0 <= mc_samples <= MAX_MC:
+        raise DomainError(f"need 0 <= mc_samples <= {MAX_MC}, got {mc_samples}")
     t_grid = _real_grid(t_grid)
     s = model.s_total()
     if s > 0:
@@ -356,8 +360,12 @@ def martingale_dominance(
     worst_se = 0.0
     for t in t_grid:
         t = float(t)
-        wv, se = walk_pm(t)
-        nv = normal_pm(t, power)
+        try:
+            (wv, se), nv = walk_pm(t), normal_pm(t, power)
+        except OverflowError:
+            wv = nv = math.inf
+        if not (math.isfinite(wv) and math.isfinite(nv)):
+            raise DomainError(f"t_grid point {t}: E (X - t)_+^{power} leaves float range")
         margin = nv - wv
         rows.append((t, wv, nv, margin))
         worst_se = max(worst_se, se)
@@ -420,7 +428,8 @@ def left_tail_chain(
     The laws: (s/m) Binomial(n, m^2/(n s)) as atoms, (s/m) Poisson(m^2/s),
     and normal(m, sqrt(s)).  Requires 0 < s <= m^2/n.  Per-summand budgets
     (m_i, s_i) may be given instead of totals.  Every grid point must be a
-    real number, and 1 <= n <= MAX_SUMMANDS.
+    real number, and 1 <= n <= MAX_SUMMANDS; a point whose partial moment
+    leaves float range raises DomainError.
     """
     if not 1 <= n <= MAX_SUMMANDS:
         raise DomainError(f"need 1 <= n <= {MAX_SUMMANDS} summands, got {n}")
@@ -460,9 +469,12 @@ def left_tail_chain(
     holds = abs(means[0] - means[1]) < 1e-9 and abs(means[1] - means[2]) < 1e-9
     for t in t_grid:
         t = float(t)
-        vb = lower_partial_moment(binom, t, 3)
-        vp = lower_partial_moment(pois, t, 3)
-        vn = lower_partial_moment(norm, t, 3)
+        try:
+            vb, vp, vn = (lower_partial_moment(nu, t, 3) for nu in (binom, pois, norm))
+        except OverflowError:
+            vb = vp = vn = math.inf
+        if not all(map(math.isfinite, (vb, vp, vn))):
+            raise DomainError(f"t_grid point {t}: E (t - X)_+^3 leaves float range")
         m1 = vp - vb
         m2 = vn - vp
         rows.append((t, vb, vp, vn, m1, m2))

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import acceptance
 from .applications import (
+    MAX_MC,
     MAX_POWER,
     MAX_SUMMANDS,
     MAX_WALK,
@@ -487,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N")
     p.add_argument("--t-grid", default="-8:8:41")
     p.add_argument("--power", type=_int_in(0, MAX_POWER), default=5)
-    p.add_argument("--mc", type=int, default=0)
+    p.add_argument("--mc", type=_int_in(0, MAX_MC), default=0)
     p.set_defaults(fn=_cmd_martingale)
 
     p = sub.add_parser("left-chain", help="binomial/Poisson/normal chain")

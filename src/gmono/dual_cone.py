@@ -508,9 +508,7 @@ def oracle_equivalence(
     lo, hi = max(min(locs) - 2.0, least), min(max(locs) + 2.0, iv.b)
     # The fixed generators do not depend on the trial: one row per handle,
     # one column per atom, so every trial's fixed part is one product.
-    H = np.array(
-        [[h.eval(x) for x in locs] for h in basis_low + basis_az]
-    ).reshape(-1, len(locs))
+    H = np.array([h.values(locs) for h in basis_low + basis_az]).reshape(-1, len(locs))
     split = len(atoms1)
 
     # Draw every trial first (1 to 5 positive parts each); then the p-th

@@ -160,31 +160,37 @@ def gauged_derivative(
     """j-th gauged derivative of f at x.
 
     ``auto`` prefers supplied data, then the analytic jet chain, then
-    nested finite differences.
+    nested finite differences.  DomainError where the derivative leaves
+    float range (an overflow, or a jet division by an underflowed gauge).
     """
     if j < 0:
         raise DomainError("order must be >= 0")
     x = float(x)
     f.interval.require(x)
-    if strategy == "auto":
-        if f.gauged_data is not None:
-            strategy = "supplied"
-        elif f.jet is not None and g.jet(0, x, 1) is not None and f.order >= j:
-            strategy = "analytic_chain"
-        else:
-            strategy = "fd_chain"
-    if strategy == "supplied":
-        if f.gauged_data is None:
-            raise PreconditionError("no supplied gauged data on this function")
-        return f.gauged_data(j, x)
-    if strategy == "analytic_chain":
-        if f.order < j:
-            raise PreconditionError(
-                f"insufficient derivative order: have {f.order}, need {j}"
-            )
-        return _analytic_chain(f, g, j, x)
-    if strategy == "fd_chain":
-        return _fd_chain(f, g, j, x, fd_step)
+    try:
+        if strategy == "auto":
+            if f.gauged_data is not None:
+                strategy = "supplied"
+            elif f.jet is not None and g.jet(0, x, 1) is not None and f.order >= j:
+                strategy = "analytic_chain"
+            else:
+                strategy = "fd_chain"
+        if strategy == "supplied":
+            if f.gauged_data is None:
+                raise PreconditionError("no supplied gauged data on this function")
+            return f.gauged_data(j, x)
+        if strategy == "analytic_chain":
+            if f.order < j:
+                raise PreconditionError(
+                    f"insufficient derivative order: have {f.order}, need {j}"
+                )
+            return _analytic_chain(f, g, j, x)
+        if strategy == "fd_chain":
+            return _fd_chain(f, g, j, x, fd_step)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(
+            f"the order-{j} gauged derivative at x={x} leaves float range: {exc}"
+        ) from exc
     raise DomainError(f"unknown strategy {strategy!r}")
 
 
@@ -265,10 +271,7 @@ class MixtureLevels:
             fn = self._fams[level] = chain_t_two_arg(self.g, level, self.n)
         mu = self.mu
         atoms = [(t, mass) for t, mass in mu.atoms if mass != 0.0 and t >= y]
-        if atoms and self.g.kind not in ("unit", "exponential"):  # one array call
-            vs = fn(np.array([t for t, _ in atoms]), float(x)).tolist()
-        else:  # scalar arithmetic, atom by atom
-            vs = [fn(t, x) for t, _ in atoms]
+        vs = fn(np.array([t for t, _ in atoms]), float(x)).tolist() if atoms else []
         acc = 0.0
         for (_, mass), v in zip(atoms, vs):
             if not math.isfinite(v):

@@ -99,7 +99,7 @@ def estimate_limits_at_a(f: FunctionRep, cone: ConeSpec) -> dict:
                 x = iv.a + (hi - iv.a) / 2.0**m
             try:
                 v = gauged_derivative(f, g, i, x)
-            except (OverflowError, DomainError):
+            except DomainError:
                 break
             if prev is not None and abs(v - prev) < _CAUCHY_TOL * (1.0 + abs(v)):
                 hits += 1

@@ -515,10 +515,12 @@ class _Descent:
     chain's evaluator with anchor z.  The route is picked once: the
     closed-form descent when the start has an ExpPoly form (the second
     chain takes its start's ring as it is), then the one-level
-    antiderivative shortcut, then the left-endpoint probe, and otherwise
-    one PanelChain cover, built on the first evaluation and grown by
-    later ones that fall outside it.  A chain anchored at a runs in its
-    ``_LeftFrame``, where a is u = -inf.
+    antiderivative shortcut (``_one_level_cells``), then the
+    left-endpoint probe, and otherwise one PanelChain cover, built on the
+    first evaluation and grown by later ones that fall outside it.  A
+    chain anchored at a runs in its ``_LeftFrame``, where a is u = -inf.
+    ``values`` holds every route's arithmetic, and ``eval`` is ``values``
+    at one point.
     """
 
     def __init__(self, g: GaugeSpec, start, levels: Sequence[int],
@@ -528,7 +530,8 @@ class _Descent:
         self.levels = list(levels)
         self.anchor = anchor
         self.divergent = False
-        self._exact = None
+        self._exact = None  # the closed form, an ExpPoly in u
+        self._anti = None  # W, an antiderivative of a one-level chain's w_m
         self._log_base = _log_base(g)
         self._panel: Optional[PanelChain] = None
         self._left = None  # (_LeftFrame, the probe's certified depth)
@@ -537,7 +540,7 @@ class _Descent:
     def _prepare(self) -> None:
         g, start, levels, t = self.g, self.start, self.levels, self.anchor
         ring = _gauge_ring(g, start) if isinstance(start, int) else start._exact
-        if isinstance(ring, ExpPoly):
+        if ring is not None:
             self._exact = _descend(ring, g, levels, _ring_u(g, t))
             self.divergent = self._exact is None
             return
@@ -546,11 +549,8 @@ class _Descent:
         if len(levels) == 1:
             anti = g.antideriv(start)
             if anti is not None:
-                lo_val = anti(t)
-                if math.isfinite(lo_val):
-                    self._exact = _OneLevel(g, levels[0], anti, lo_val)
-                else:
-                    self.divergent = True  # W(t) = -inf: no integrable decay
+                self._anti = anti
+                self.divergent = not math.isfinite(anti(t))  # no integrable decay
                 return
         iv = g.interval
         if math.isinf(t) or (t == iv.a and not iv.left_closed):
@@ -626,39 +626,30 @@ class _Descent:
         return ([math.log(x - a) for x in xs],
                 np.array([self.g.value(self.levels[-1], x) for x in xs]))
 
-    def eval(self, x: float) -> float:
-        if self.levels:
-            if self.divergent:
-                return math.inf
-            if x == self.anchor:
-                return 0.0
-        if self._exact is None:
-            if not self.levels:
-                return self.g.value(self.start, x)
-            (u,), final = self._frame_points([x])
-            return self._cover([u]).eval(u, None if final is None else final[0])
-        return self._exact.eval(x if self._log_base is None else _ring_u(self.g, x))
-
     def values(self, xs: list) -> np.ndarray:
-        """eval at each float of xs: the numeric route reads its cover once
-        for all of them, and every other route is eval's own arithmetic."""
-        if self._exact is not None or self.divergent or not self.levels or not xs:
-            return np.array([self.eval(x) for x in xs], dtype=float)
+        """The chain at each float of xs, +inf if it diverges: the closed form
+        (0 at the anchor) and a bare gauge level point by point, any other
+        route in one call for all of xs."""
+        if self.divergent:
+            return np.full(len(xs), math.inf)
+        if self._exact is not None:
+            at = self.anchor if self.levels else math.nan
+            us = xs if self._log_base is None else [_ring_u(self.g, x) for x in xs]
+            return np.array([0.0 if x == at else self._exact.eval(u)
+                             for x, u in zip(xs, us)], dtype=float)
+        if not self.levels:
+            return np.array([self.g.value(self.start, x) for x in xs], dtype=float)
+        if self._anti is not None:
+            xs = np.asarray(xs, dtype=float)
+            return _one_level_cells(self.g, self.levels[0], self._anti,
+                                    np.full(xs.shape, self.anchor), xs)
+        if not xs:
+            return np.zeros(0)
         us, final = self._frame_points(xs)
         return self._cover(us).values(us, final)
 
-
-class _OneLevel:
-    """p_{t;j,j+1}(x) = w_j(x) * (W(x) - W(t)) via a known antiderivative."""
-
-    def __init__(self, g: GaugeSpec, j: int, anti, lo_val: float):
-        self.g = g
-        self.j = j
-        self.anti = anti
-        self.lo_val = lo_val
-
     def eval(self, x: float) -> float:
-        return self.g.value(self.j, x) * (self.anti(x) - self.lo_val)
+        return self.values([x]).item()
 
 
 def _chain_t(g: GaugeSpec, t: float, j: int, m: int) -> _Descent:
@@ -988,7 +979,9 @@ class WPolyHandle:
 
     Gauged derivatives are evaluated through the exact chain identities,
     never by differencing.  A handle builds its evaluator once and reuses
-    it; values are not memoized.
+    it; values are not memoized.  ``values`` over many points is the
+    evaluation path; ``eval`` (and calling the handle) is ``values`` at one
+    point.
     """
 
     gauges: GaugeSpec
@@ -1008,21 +1001,15 @@ class WPolyHandle:
 
     # -- evaluation -----------------------------------------------------------
     def eval(self, x: float) -> float:
-        """Value at x; +inf signals analytic divergence of the chain."""
-        x = float(x)
-        self.gauges.interval.require(x)
-        if self.part != FULL:
-            t = self.family[1]
-            if self.part == POSITIVE and not x >= t:
-                return 0.0  # covers the inf * 0 = 0 convention
-            if self.part == NEGATIVE and not x < t:
-                return 0.0
-        return self._full_evaluator().eval(x)
+        """``values`` at the one point x."""
+        return self.values([x]).item()
 
     __call__ = eval
 
     def values(self, xs) -> np.ndarray:
-        """eval at each of xs, from one call of the evaluator."""
+        """The value at each of xs, from one call of the evaluator; +inf
+        signals analytic divergence of the chain, and a part is 0.0 off its
+        side of t (which covers the inf * 0 = 0 convention)."""
         xs = [float(x) for x in xs]
         for x in xs:
             self.gauges.interval.require(x)
@@ -1056,13 +1043,13 @@ class WPolyHandle:
         sub = self._deriv_handle(s)
         if sub is None:
             return 0.0
-        if isinstance(sub, tuple):  # interp: list of (c, handle) terms
-            acc = math.fsum(c * h.eval(x) for c, h in sub)
-            return acc / g.value(s, x)
-        return sub.eval(x) / g.value(self.family[2] + s, x)  # level j + s
+        g.interval.require(x)
+        level = s if self.tag == "interp" else self.family[2] + s  # j + s
+        return sub.eval(x) / g.value(level, x)
 
     def _deriv_handle(self, s: int):
-        """Handle (or term list) whose value / w_level is the s-th derivative."""
+        """Handle (the interp family's evaluator) whose value / w_level is
+        the s-th derivative."""
         cache = self._state.setdefault("derivs", {})
         if s in cache:
             return cache[s]
@@ -1082,12 +1069,8 @@ class WPolyHandle:
                     out = WPolyHandle(g, ("chain_az", z, lvl, k, j))
         else:
             _, z, coeffs = self.family
-            terms = tuple(
-                (c, WPolyHandle(g, ("chain_t", z, s, l)))
-                for l, c in enumerate(coeffs)
-                if c != 0.0 and l >= s
-            )
-            out = terms
+            out = _InterpSum(g, z, [c if l >= s else 0.0 for l, c in enumerate(coeffs)],
+                             level=s)
         cache[s] = out
         return out
 
@@ -1125,8 +1108,7 @@ class XRing(NamedTuple):
 def _x_poly(ev) -> Optional[ExpPoly]:
     """The closed form of a chain evaluator when it is a ring in x (not in
     log(x - base)); None otherwise."""
-    if (isinstance(ev, _Descent) and isinstance(ev._exact, ExpPoly)
-            and ev._log_base is None):
+    if isinstance(ev, _Descent) and ev._exact is not None and ev._log_base is None:
         return ev._exact
     return None
 
@@ -1141,12 +1123,12 @@ class _InterpSum:
             if c != 0.0
         ]
 
-    def eval(self, x: float) -> float:
-        return math.fsum(c * ev.eval(x) for c, ev in self.parts)
-
     def values(self, xs: list) -> np.ndarray:
         terms = [c * ev.values(xs) for c, ev in self.parts] or [np.zeros(len(xs))]
         return np.array([math.fsum(vs) for vs in zip(*terms)])
+
+    def eval(self, x: float) -> float:
+        return self.values([x]).item()
 
 
 def _build_evaluator(g: GaugeSpec, family: tuple):
@@ -1168,7 +1150,7 @@ def _build_evaluator(g: GaugeSpec, family: tuple):
             return start
         if k == j:  # p_{a;k,k} = w_k, so this is p_{z;i,k}
             return _chain_t(g, z, i, k)
-        if isinstance(start._exact, ExpPoly):
+        if start._exact is not None:
             return _Descent(g, start, range(k - 1, i - 1, -1), z)
         # Chen's identity split at z: p_{a,z;i:k:j} is the sum over c in
         # k..j of p_{a;c,j}(z)/w_c(z) p_{z;i,c}, with coefficient 1 at c = j.
@@ -1335,15 +1317,16 @@ def chain_t_two_arg(g: GaugeSpec, j: int, m: int) -> Callable:
 
 def _one_level_cells(g: GaugeSpec, j: int, anti, t: np.ndarray,
                      x: np.ndarray) -> np.ndarray:
-    """p_{t;j,j+1}(x) = w_j(x) (W(x) - W(t)) at cells with t <= x, W =
-    anti an antiderivative of w_{j+1}: W once per distinct t and x, and
-    w_j from one values() call.  As _OneLevel under _Descent.eval: a cell
-    whose W(t) is not finite is +inf, one with x = t is 0, and a zero w_j
-    raises what value() raises."""
+    """p_{t;j,j+1}(x) = w_j(x) (W(x) - W(t)) at cells (t, x) on either side
+    of t, signed where x < t, W = anti an antiderivative of w_{j+1}: W once
+    per distinct t and x, and w_j from one values() call.  A cell whose
+    W(t) is not finite is +inf, one with x = t is 0, and a zero w_j raises
+    what value() raises.  It serves both a one-level chain's ``_Descent``
+    (one t) and the two-argument family (cells with t <= x)."""
     ts, ti = np.unique(t, return_inverse=True)
     w_t = np.array([anti(v) for v in ts.tolist()], dtype=float)[ti]
     out = np.where(np.isfinite(w_t), 0.0, math.inf)
-    live = (x > t) & np.isfinite(w_t)
+    live = (x != t) & np.isfinite(w_t)
     xs, xi = np.unique(x[live], return_inverse=True)
     if len(xs):
         w = g.values(j, xs)

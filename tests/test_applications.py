@@ -9,6 +9,7 @@ import pytest
 from gmono import DomainError, ExponentialGauge, Interval, UnitGauge, stein_gauges
 from gmono.applications import (
     CHEB_CONSTANT,
+    MAX_MC,
     MAX_WALK,
     MartingaleModel,
     RatioQuery,
@@ -139,6 +140,11 @@ class TestMartingale:
     def test_fair_walk_outside_its_range(self, n):
         with pytest.raises(DomainError):
             fair_walk(n)
+
+    @pytest.mark.parametrize("mc", [-5, MAX_MC + 1])
+    def test_mc_samples_outside_their_range(self, mc):
+        with pytest.raises(DomainError):
+            martingale_dominance(fair_walk(4), [0.0], mc_samples=mc)
 
     def test_degenerate_n0(self):
         model = MartingaleModel(steps=(), mode="martingale")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gmono
+from gmono.applications import MAX_MC
 from gmono.cli import main
 from gmono.intervals import gauge_from_dict
 from gmono.wpoly import chain_az_handle, chain_t_handle
@@ -248,15 +249,50 @@ class TestExitCodes:
         ["martingale", "--fair-walk", "0"],
         ["martingale", "--fair-walk=-1"],
         ["martingale", "--fair-walk", "1001"],
+        ["martingale", "--fair-walk", "4", "--mc", "-5"],
+        ["martingale", "--fair-walk", "4", "--mc", str(MAX_MC + 1)],
     ], ids=["left-chain-no-summands", "martingale-negative-power",
             "left-chain-past-cap", "martingale-power-past-cap",
             "martingale-empty-walk", "martingale-negative-walk",
-            "martingale-walk-past-cap"])
+            "martingale-walk-past-cap", "martingale-negative-mc",
+            "martingale-mc-past-cap"])
     def test_out_of_range_count_is_two(self, capsys, argv):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
         assert "need an integer >=" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["left-chain", "--n", "10", "--m", "2", "--s", "0.4", "--t-grid", "1e308"],
+        ["martingale", "--fair-walk", "4", "--t-grid=-1e308"],
+        ["taylor", "--ys=1e308"],
+        ["taylor", "--ys=100000"],
+        ["taylor", "--z", "1e308", "--ys=-1"],
+    ], ids=["left-chain", "martingale", "taylor-huge-y", "taylor-large-y",
+            "taylor-huge-z"])
+    def test_value_past_float_range_is_two(self, files, capsys, argv):
+        # Each overflowed a float (exit 4): (x - t)^n of a partial moment,
+        # or e^x of exp's jet inside the taylor window.
+        if argv[0] == "taylor":
+            argv = ["taylor", "--gauges", files["gu"], "--function", files["fexp"],
+                    "--k", "1", "--n", "2", *argv[1:]]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "leaves float range" in captured.err and captured.out == ""
+
+    def test_gauge_underflow_in_taylor_is_two(self, files, tmp_path):
+        # The limit estimate at a = -inf walks x = -2^m until e^(0.5 x)
+        # underflows to 0 under a jet division (ZeroDivisionError, exit 4).
+        gauges = tmp_path / "rates.json"
+        gauges.write_text(json.dumps({
+            "interval": {"a": "-inf", "b": "inf"}, "kind": "exponential",
+            "params": [0, 0.5, -1, 1, 0.5],
+        }))
+        fpoly = tmp_path / "fpoly.json"
+        fpoly.write_text(json.dumps({"name": "poly", "coeffs": [1.0, 2.0, 0.5]}))
+        assert main(["taylor", "--gauges", str(gauges), "--function", str(fpoly),
+                     "--k", "1", "--n", "2", "--ys=-1,-2"]) == 2
 
     @pytest.mark.parametrize("argv", [
         ["left-chain", "--n", "1000", "--m", "2", "--s", "0.4"],

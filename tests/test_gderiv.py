@@ -30,7 +30,7 @@ from gmono.gderiv import (
     mixture_function,
     rem_left_example,
 )
-from gmono import wpoly
+from gmono import gderiv, wpoly
 from gmono.measures import MeasureRep, NormalPart
 from gmono.wpoly import POSITIVE, chain_t_handle
 
@@ -270,24 +270,39 @@ class TestMixtures:
     @pytest.mark.parametrize("g, n", [
         (arctan_cheb_gauges(), 1),
         (TableGauge(R, [(lambda x, l=l: math.exp(l * x)) for l in (0.5, -1.0, 1.0)]), 2),
-    ], ids=["arctan_cheb", "clone"])
+        (GU, 3),
+        (G61, 4),
+    ], ids=["arctan_cheb", "clone", "unit", "exponential"])
     def test_one_pass_per_value(self, monkeypatch, g, n):
-        # Under a table gauge a value takes all its atoms in one array
-        # call: one one-level pass or one swept cover, not one per atom.
-        calls = []
-        for name in ("_one_level_cells", "_swept_chain"):
-            real = getattr(wpoly, name)
-            monkeypatch.setattr(wpoly, name,
+        # Under every gauge a value takes all its atoms in one array call of
+        # the two-argument family, whatever their count: one one-level
+        # pass, one swept cover or one closed-form eval_many, not one per
+        # atom.
+        calls, fam_calls = [], []
+        for owner, name in ((wpoly, "_one_level_cells"), (wpoly, "_swept_chain"),
+                            (wpoly.ExpPoly, "eval_many")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
                                 lambda *a, real=real: calls.append(a) or real(*a))
-        atoms = [(-1.0, 0.5), (0.25, 0.3), (1.5, 0.2)]
-        h = mixture_function(MeasureRep(R, atoms=atoms), g, 0, n)
-        for x in (-0.5, 0.7, 2.0):
-            calls.clear()
-            v = h.func(x)
-            assert len(calls) == 1
-            want = sum(mass * chain_t_handle(g, t, 0, n, part=POSITIVE).eval(x)
-                       for t, mass in atoms)
-            assert v == pytest.approx(want, rel=1e-10, abs=1e-14), x
+        real_fam = gderiv.chain_t_two_arg
+
+        def counted(*a):
+            fam = real_fam(*a)
+            return lambda t, x: fam_calls.append(np.size(t)) or fam(t, x)
+
+        monkeypatch.setattr(gderiv, "chain_t_two_arg", counted)
+        spread = np.linspace(-1.5, 1.5, 41).tolist()
+        for atoms in ([(-1.0, 0.5), (0.25, 0.3), (1.5, 0.2)],
+                      [(t, 1.0 / 41) for t in spread]):
+            h = mixture_function(MeasureRep(R, atoms=atoms), g, 0, n)
+            for x in (-0.5, 0.7, 2.0):
+                calls.clear()
+                fam_calls.clear()
+                v = h.func(x)
+                assert len(calls) == 1 and fam_calls == [len(atoms)]
+                want = sum(mass * chain_t_handle(g, t, 0, n, part=POSITIVE).eval(x)
+                           for t, mass in atoms)
+                assert v == pytest.approx(want, rel=1e-10, abs=1e-14), x
 
     def test_top_derivative_is_the_distribution_function(self):
         # Order n + 1 of h_(0;mu) is mu((-inf, x]), atoms and normal part.

@@ -1001,6 +1001,18 @@ class TestTransferReads:
                     assert abs(v - want) <= 1e-10 * (1.0 + abs(want)), (i, k, j, z, x)
         assert seen >= 3
 
+    def test_one_level_reads_both_sides_of_its_anchor(self):
+        # p_{t;0,1}(x) = w_0(x) (W(x) - W(t)), W the antiderivative of w_1,
+        # signed left of t and exactly 0 at t, from one _one_level_cells call.
+        g, t = arctan_cheb_gauges(), 0.3
+        h = chain_t_handle(g, t, 0, 1)
+        anti = g.antideriv(1)
+        xs = [-4.0, -1.0, -0.25, 0.0, 0.29, 0.3, 0.31, 2.0]
+        want = [g.value(0, x) * (anti(x) - anti(t)) for x in xs]
+        assert [v.hex() for v in h.values(xs).tolist()] == [v.hex() for v in want]
+        assert [h.eval(x).hex() for x in xs] == [v.hex() for v in want]
+        assert h.eval(t) == 0.0 and all(v < 0.0 for v in want[:5])
+
 
 class TestParts:
     def test_positive_part_indicator(self):
@@ -1320,6 +1332,30 @@ class TestInterpolate:
         p = interpolate(g, t, coeffs)
         recovered = [p.gauged_deriv(s, t) for s in range(4)]
         assert np.allclose(recovered, coeffs, atol=1e-8)
+
+    @pytest.mark.parametrize("g, k", [(UnitGauge(R), 3), (G61, 3),
+                                      (arctan_cheb_gauges(), 1)],
+                             ids=["unit", "exponential", "arctan_cheb"])
+    def test_gauged_deriv_is_the_basis_sum(self, g, k):
+        # The s-th gauged derivative of sum_l c_l p_{z;0,l} is
+        # sum_l c_l p_{z;s,l} / w_s, the l < s terms dropped.
+        c, z = [0.75, -1.5, 2.0, 0.5][: k + 1], 0.25
+        p = interpolate(g, z, c)
+        for s in range(k + 2):
+            for x in (-1.3, z, 0.9, 2.4):
+                if s == k + 1 and g.kind == "table":
+                    continue  # arctan_cheb has no level k + 1
+                terms = [cl * chain_t_handle(g, z, s, l).eval(x)
+                         for l, cl in enumerate(c) if l >= s]
+                want = math.fsum(terms) / g.value(s, x)
+                assert p.gauged_deriv(s, x).hex() == want.hex(), (s, x)
+
+    def test_gauged_deriv_outside_the_interval_raises(self):
+        g = PowerGauge(Interval(0.0, math.inf), 0.0, [1.0, 0.5, 2.0])
+        p = interpolate(g, 1.0, [1.0, 2.0])
+        for s in range(3):  # s = 2 is the zero polynomial
+            with pytest.raises(DomainError):
+                p.gauged_deriv(s, -1.0)
 
 
 class TestMemoization:
