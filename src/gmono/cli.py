@@ -236,6 +236,10 @@ def _cmd_taylor(args, cfg: RunConfig) -> int:
     f = function_from_dict(_load_json(args.function))
     cone = ConeSpec(g, args.k, args.n)
     ys = _parse_floats(args.ys, ",", "--ys list")
+    iv = g.interval
+    for y in ys:  # before the window, which is built from ys and z
+        if not iv.a < y <= args.z < iv.b:
+            raise DomainError(f"need a < y <= z < b, got y={y}, z={args.z}")
     if args.window:
         lo, hi = _parse_floats(args.window, ":", "--window", count=2)
     else:

@@ -164,26 +164,38 @@ class ExpPoly:
         return out
 
     def eval(self, x: float) -> float:
+        """The sum at x.  A term whose e^(r*x) or x^d overflows is read from
+        its log-magnitude s = log|c| + r*x + d*log|x|: past 700 it joins the
+        dominant-term rule (the sum is +-inf with the sign of the term of
+        largest s, then degree), below -745 it is 0, and in between it is
+        e^s with its sign."""
         acc = 0.0
-        dominant = None  # overflowed term with the largest r*x (then degree)
+        dominant = None  # ((s, d), sign) of the largest term past e^700
         for (d, r), c in self.terms.items():
             if c == 0.0:
                 continue
-            e = _safe_exp(r * x) if r != 0.0 else 1.0
-            if e == math.inf:
-                key = (r * x, d)
-                if dominant is None or key > dominant[0]:
-                    dominant = (key, c)
-                continue
-            acc += c * x**d * e
+            rx = r * x if r != 0.0 else 0.0
+            if not rx > 700.0:
+                try:
+                    acc += c * x**d * (_safe_exp(rx) if r != 0.0 else 1.0)
+                    continue
+                except OverflowError:  # x**d leaves float range
+                    pass
+            s = math.log(abs(c)) + rx + (d * math.log(abs(x)) if d else 0.0)
+            sign = c if x > 0.0 or d % 2 == 0 else -c
+            if s > 700.0:
+                if dominant is None or (s, d) > dominant[0]:
+                    dominant = ((s, d), sign)
+            elif s >= -745.0:
+                acc += math.copysign(math.exp(s), sign)
         if dominant is not None:
             return math.inf if dominant[1] > 0 else -math.inf
         return acc
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """eval at each of xs: the terms summed in eval's order, and a cell
-        where some term overflows (r*x past 700) handed to eval, whose
-        rule gives it its +-inf."""
+        where some term overflows (r*x past 700, or a sum that is not
+        finite) handed to eval, whose rule gives it its value."""
         xs = np.asarray(xs, dtype=float)
         acc = np.zeros(xs.shape)
         over = np.zeros(xs.shape, dtype=bool)
@@ -199,6 +211,8 @@ class ExpPoly:
                     over |= rx > 700.0
                     term *= np.exp(rx, out=rx)
                 acc += term
+            if not math.isfinite(acc.sum()):  # a sum without temporaries first
+                over |= ~np.isfinite(acc)
         if over.any():
             acc[over] = [self.eval(x) for x in xs[over].tolist()]
         return acc
@@ -515,8 +529,10 @@ class _Descent:
     chain's evaluator with anchor z.  The route is picked once: the
     closed-form descent when the start has an ExpPoly form (the second
     chain takes its start's ring as it is), then the one-level
-    antiderivative shortcut (``_one_level_cells``), then the
-    left-endpoint probe, and otherwise one PanelChain cover, built on the
+    antiderivative shortcut (``_one_level_cells``) where W has a number at
+    the anchor, then the left-endpoint probe, which reads ``sweep`` when
+    one is given (the chains of one finiteness table, or of one Chen
+    split, share theirs), and otherwise one PanelChain cover, built on the
     first evaluation and grown by later ones that fall outside it.  A
     chain anchored at a runs in its ``_LeftFrame``, where a is u = -inf.
     ``values`` holds every route's arithmetic, and ``eval`` is ``values``
@@ -524,11 +540,12 @@ class _Descent:
     """
 
     def __init__(self, g: GaugeSpec, start, levels: Sequence[int],
-                 anchor: float):
+                 anchor: float, sweep: Optional["_WindowSweep"] = None):
         self.g = g
         self.start = start
         self.levels = list(levels)
         self.anchor = anchor
+        self.sweep = sweep  # the probe's windows, built here if none is given
         self.divergent = False
         self._exact = None  # the closed form, an ExpPoly in u
         self._anti = None  # W, an antiderivative of a one-level chain's w_m
@@ -546,20 +563,25 @@ class _Descent:
             return
         if not levels:
             return
-        if len(levels) == 1:
-            anti = g.antideriv(start)
-            if anti is not None:
+        anti = g.antideriv(start) if len(levels) == 1 else None
+        if anti is not None:
+            try:
+                w_t = float(anti(t))
+            except (ValueError, ArithmeticError):
+                w_t = math.nan
+            if not math.isnan(w_t):  # a number: +-inf is no integrable decay
                 self._anti = anti
-                self.divergent = not math.isfinite(anti(t))  # no integrable decay
+                self.divergent = math.isinf(w_t)
                 return
         iv = g.interval
         if math.isinf(t) or (t == iv.a and not iv.left_closed):
-            frame = _left_frame(g, start)
-            finite, depth = _probe_left_chain(frame, levels[-1], start)
+            if self.sweep is None:
+                self.sweep = _WindowSweep(g, levels[-1], start)
+            finite, depth = _probe_left_chain(self.sweep, levels[-1], start)
             if not finite:
                 self.divergent = True
             else:
-                self._left = (frame, depth)
+                self._left = (self.sweep.frame, depth)
 
     def _cover(self, xs: list) -> PanelChain:
         """The PanelChain covering every x of xs, points of the left frame
@@ -641,8 +663,8 @@ class _Descent:
             return np.array([self.g.value(self.start, x) for x in xs], dtype=float)
         if self._anti is not None:
             xs = np.asarray(xs, dtype=float)
-            return _one_level_cells(self.g, self.levels[0], self._anti,
-                                    np.full(xs.shape, self.anchor), xs)
+            return _one_level_cells(self.g, self.levels[0], self._anti, False,
+                                    np.array([self.anchor]), xs)
         if not xs:
             return np.zeros(0)
         us, final = self._frame_points(xs)
@@ -652,11 +674,13 @@ class _Descent:
         return self.values([x]).item()
 
 
-def _chain_t(g: GaugeSpec, t: float, j: int, m: int) -> _Descent:
-    """p_{t;j,m}: w_m descended through levels m-1, ..., j from t."""
+def _chain_t(g: GaugeSpec, t: float, j: int, m: int,
+             sweep: Optional["_WindowSweep"] = None) -> _Descent:
+    """p_{t;j,m}: w_m descended through levels m-1, ..., j from t, probing
+    through ``sweep`` if given."""
     if j > m:
         raise DomainError("need j <= m")
-    return _Descent(g, m, range(m - 1, j - 1, -1), t)
+    return _Descent(g, m, range(m - 1, j - 1, -1), t, sweep)
 
 
 def _ring_rate(g: GaugeSpec) -> Callable[[int], float]:
@@ -720,8 +744,9 @@ def _strongly_decayed(incs, vals) -> bool:
 
 
 class _WindowSweep:
-    """T(L_i, x0) of a left frame's levels lo..hi at the probe's window
-    anchors L_i = frame.anchor_at(i), built window by window.
+    """T(L_i, x0) of levels lo..hi at the probe's window anchors
+    L_i = frame.anchor_at(i) of the left frame of g's levels 0..hi, built
+    window by window; the frame itself is built by the first read.
 
     Window i's segment [L_i, L_{i-1}] (x0 in place of L_{-1}) is built
     once, as a PanelChain on _panel_breaks of the segment, and
@@ -735,19 +760,25 @@ class _WindowSweep:
     not be among them.  That sweep starts from the block j..m of the
     windows built so far, which is their T of levels j..m alone, so a
     breakdown stays attributed to the pair and the window where it
-    happens.
+    happens.  ``reads`` counts the values read.
     """
 
-    def __init__(self, frame: _LeftFrame, lo: int, hi: int):
-        self.frame = frame
+    def __init__(self, g: GaugeSpec, lo: int, hi: int):
+        self.g = g
         self.lo = lo
         self.levels = range(lo, hi + 1)
+        self.reads = 0
         self._at: list = []  # T(L_i, x0) for the windows built so far
         self._broken: Optional[Exception] = None  # what stopped the next window
         self._own: dict = {}  # (j, m) -> the pair's own sweep past a breakdown
 
+    @functools.cached_property
+    def frame(self) -> _LeftFrame:
+        return _left_frame(self.g, self.levels[-1])
+
     def value(self, i: int, j: int, m: int) -> float:
         """p_{L_i;j,m}(x0) in the frame's gauges."""
+        self.reads += 1
         while len(self._at) <= i and self._broken is None:
             self._extend()
         if len(self._at) <= i:
@@ -755,7 +786,8 @@ class _WindowSweep:
                 raise self._broken
             own = self._own.get((j, m))
             if own is None:
-                own = self._own[j, m] = _WindowSweep(self.frame, j, m)
+                own = self._own[j, m] = _WindowSweep(self.g, j, m)
+                own.frame = self.frame
                 block = slice(j - self.lo, m - self.lo + 1)
                 own._at = [acc[block, block] for acc in self._at]
             return own.value(i, j, m)
@@ -781,23 +813,21 @@ class _WindowSweep:
         self._at.append(acc)
 
 
-def _probe_left_chain(frame: _LeftFrame, j: int, m: int,
-                      sweep: Optional[_WindowSweep] = None):
+def _probe_left_chain(sweep: _WindowSweep, j: int, m: int):
     """Decide the left-endpoint dichotomy by truncated-anchor probing.
 
-    In the ``_LeftFrame``, where a is u = -inf, truncations p_{L;j,m}(x0)
-    increase as L marches toward -inf through the windows of
+    In the sweep's ``_LeftFrame``, where a is u = -inf, truncations
+    p_{L;j,m}(x0) increase as L marches toward -inf through the windows of
     ``frame.anchor_at``: doubling windows for a = -inf, steps of log 2
     (halving x - a) down to the floor for a finite a.  Geometric decay of
     the increments over three consecutive windows certifies a finite limit;
     non-decreasing increments certify divergence; anything else raises
     InconclusiveError rather than guessing.  Returns (finite, depth of the
     last certified window), from which ``frame.cuts`` cuts the chain.
-    The truncations come from ``sweep`` (one of levels j..m by default),
-    which several pairs of one frame may share.
+    The truncations are read from ``sweep``, which several pairs of one
+    frame may share.
     """
-    if sweep is None:
-        sweep = _WindowSweep(frame, j, m)
+    frame = sweep.frame
     x0, floor, anchor_at = frame.x0, frame.floor, frame.anchor_at
     vals, incs = [], []
     decided_at = None
@@ -909,55 +939,34 @@ def finiteness_set(
 ) -> FinitenessSet:
     """Finiteness pattern of p_{a;j,m} for 0 <= j <= m <= n.
 
-    With a in I every entry is finite.  For the unit/exponential/power
-    families the pattern is the chains' own closed-form descent from a
-    (``_descend``, where a rate within 1e-12 of 0 counts as 0), so an entry
-    is finite exactly when that chain's handle is; otherwise probe
-    integration decides.  ``force_probe`` bypasses the analytic routes so
-    the two can be compared.
+    With a in I every entry is finite.  Otherwise an entry is finite
+    exactly when the chain p_{a;j,m} is, by the chain's own decision
+    (``_Descent``: the closed-form descent, the one-level antiderivative
+    rule or the probe), and once p_{a;j,m} diverges so does every p_{a;i,m}
+    with i < j.  The probes of one table read one sweep of levels 0..n.
+    ``method`` is "probe" when a probe read a window and "analytic"
+    otherwise; ``force_probe`` probes every pair, so that the two can be
+    compared.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
-    iv = g.interval
-    table = [[None] * (n + 1 - j) for j in range(n + 1)]
-
-    def put(j, m, val):
-        table[j][m - j] = val
-
-    def fill(pred, method):
-        for j in range(n + 1):
-            for m in range(j, n + 1):
-                put(j, m, pred(j, m))
-        return FinitenessSet(g, n, _freeze(table), method)
-
-    if not force_probe:
-        if iv.left_closed:
-            return fill(lambda j, m: True, "a in I")
-        if _gauge_ring(g, 0) is not None:
-            # The chains' own descent from a, one level at a time: once
-            # p_{a;j,m} diverges, so does every p_{a;i,m} with i < j.
-            for m in range(n + 1):
-                ring = _gauge_ring(g, m)
-                for j in range(m, -1, -1):
-                    if j < m and ring is not None:
-                        ring = _descend(ring, g, [j], _ring_u(g, iv.a))
-                    put(j, m, ring is not None)
-            return FinitenessSet(g, n, _freeze(table), "analytic")
-
+    table = [[True] * (n + 1 - j) for j in range(n + 1)]
+    if g.interval.left_closed and not force_probe:
+        return FinitenessSet(g, n, _freeze(table), "a in I")
     # Levels 0..n must exist (a short TableGauge raises GaugeError here), so
     # that the probe's GaugeError can only mean a range breakdown.
     g.shifted(n)
-    frame = _left_frame(g, n)
-    sweep = _WindowSweep(frame, 0, n)
+    a, sweep = g.interval.a, _WindowSweep(g, 0, n)
     for m in range(n + 1):
-        put(m, m, True)
         for j in range(m - 1, -1, -1):
-            if table[j + 1][m - j - 1] is False:
-                put(j, m, False)  # dichotomy propagates downward
-                continue
-            finite, _ = _probe_left_chain(frame, j, m, sweep)
-            put(j, m, finite)
-    return FinitenessSet(g, n, _freeze(table), "probe")
+            if not table[j + 1][m - j - 1]:
+                table[j][m - j] = False  # dichotomy propagates downward
+            elif force_probe:
+                table[j][m - j] = _probe_left_chain(sweep, j, m)[0]
+            else:
+                table[j][m - j] = not _chain_t(g, a, j, m, sweep).divergent
+    method = "probe" if force_probe or sweep.reads else "analytic"
+    return FinitenessSet(g, n, _freeze(table), method)
 
 
 def _freeze(table) -> tuple:
@@ -1154,9 +1163,11 @@ def _build_evaluator(g: GaugeSpec, family: tuple):
             return _Descent(g, start, range(k - 1, i - 1, -1), z)
         # Chen's identity split at z: p_{a,z;i:k:j} is the sum over c in
         # k..j of p_{a;c,j}(z)/w_c(z) p_{z;i,c}, with coefficient 1 at c = j.
+        # The coefficient chains probe through their start's windows.
         a = g.interval.a
         coeffs = [0.0] * k + [
-            (start if c == k else _chain_t(g, a, c, j)).eval(z) / g.value(c, z)
+            (start if c == k else _chain_t(g, a, c, j, start.sweep)).eval(z)
+            / g.value(c, z)
             for c in range(k, j)
         ] + [1.0]
         return _InterpSum(g, z, coeffs, level=i)
@@ -1265,10 +1276,10 @@ def chain_t_two_arg(g: GaugeSpec, j: int, m: int) -> Callable:
             cells = lambda t, x: g.values(j, x)
         elif anti is None:
             cells = functools.partial(_swept_chain, g, j, m)
-        else:
-            cells = functools.partial(_one_level_cells, g, j, anti)
 
         def grid(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+            if anti is not None:  # the positive part, from t and x as given
+                return _one_level_cells(g, j, anti, True, t, x)
             t, x = np.broadcast_arrays(t, x)
             out = np.zeros(t.shape)
             on = x >= t
@@ -1315,25 +1326,30 @@ def chain_t_two_arg(g: GaugeSpec, j: int, m: int) -> Callable:
     return family
 
 
-def _one_level_cells(g: GaugeSpec, j: int, anti, t: np.ndarray,
-                     x: np.ndarray) -> np.ndarray:
-    """p_{t;j,j+1}(x) = w_j(x) (W(x) - W(t)) at cells (t, x) on either side
-    of t, signed where x < t, W = anti an antiderivative of w_{j+1}: W once
-    per distinct t and x, and w_j from one values() call.  A cell whose
-    W(t) is not finite is +inf, one with x = t is 0, and a zero w_j raises
-    what value() raises.  It serves both a one-level chain's ``_Descent``
-    (one t) and the two-argument family (cells with t <= x)."""
-    ts, ti = np.unique(t, return_inverse=True)
-    w_t = np.array([anti(v) for v in ts.tolist()], dtype=float)[ti]
-    out = np.where(np.isfinite(w_t), 0.0, math.inf)
-    live = (x != t) & np.isfinite(w_t)
-    xs, xi = np.unique(x[live], return_inverse=True)
-    if len(xs):
-        w = g.values(j, xs)
-        if not np.all(w > 0.0):
-            g.value(j, float(xs[np.argmin(w > 0.0)]))  # raises
-        w_x = np.array([anti(v) for v in xs.tolist()], dtype=float)
-        out[live] = w[xi] * (w_x[xi] - w_t[live])
+def _one_level_cells(g: GaugeSpec, j: int, anti, positive: bool,
+                     t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """p_{t;j,j+1}(x) = w_j(x) (W(x) - W(t)) at the cells of t and x
+    broadcast against each other, W = anti an antiderivative of w_{j+1}:
+    W once per entry of t and of x, and w_j once per entry of x.  A cell
+    is signed where x < t, or 0 there if ``positive``.  Of the others, one
+    whose W(t) is not finite is +inf, one with x = t is 0, and a zero w_j
+    at any other raises what value() raises.  It serves both a one-level
+    chain's ``_Descent`` (one t) and the two-argument family (its positive
+    part)."""
+    w_t = np.array([anti(v) for v in t.ravel().tolist()], dtype=float).reshape(t.shape)
+    w_x = np.array([anti(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+    w = g.values(j, x.ravel()).reshape(x.shape)
+    finite = np.isfinite(w_t)
+    if positive:
+        live, out = finite & (x > t), np.where(finite | (x < t), 0.0, math.inf)
+    else:
+        live = finite & (x != t)
+        out = np.where(finite | live, 0.0, math.inf)  # finite, on every cell
+    zero = live & (w <= 0.0)
+    if zero.any():
+        g.value(j, float(np.broadcast_to(x, zero.shape)[zero][0]))  # raises
+    np.subtract(w_x, w_t, out=out, where=live)
+    np.multiply(out, w, out=out, where=live)
     return out
 
 

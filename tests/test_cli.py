@@ -265,8 +265,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["left-chain", "--n", "10", "--m", "2", "--s", "0.4", "--t-grid", "1e308"],
         ["martingale", "--fair-walk", "4", "--t-grid=-1e308"],
-        ["taylor", "--ys=1e308"],
-        ["taylor", "--ys=100000"],
+        ["taylor", "--z", "1e308", "--ys=1e308"],
+        ["taylor", "--z", "100000", "--ys=100000"],
         ["taylor", "--z", "1e308", "--ys=-1"],
     ], ids=["left-chain", "martingale", "taylor-huge-y", "taylor-large-y",
             "taylor-huge-z"])
@@ -323,6 +323,14 @@ class TestExitCodes:
     def test_bad_taylor_spec_is_two(self, files, extra):
         assert main(["taylor", "--gauges", files["gu"], "--function",
                      files["fexp"], "--k", "1", "--n", "2", *extra]) == 2
+
+    @pytest.mark.parametrize("ys", ["10", "100000"])
+    def test_taylor_y_above_z_is_two(self, files, capsys, ys):
+        # The range check comes before the window is built from ys and z.
+        code = main(["taylor", "--gauges", files["gu"], "--function", files["fexp"],
+                     "--k", "1", "--n", "2", f"--ys={ys}"])
+        assert code == 2
+        assert "need a < y <= z < b" in capsys.readouterr().err
 
     def test_unexpected_exception_is_four(self, files, monkeypatch, capsys):
         # An internal crash must not read as 1 ("fails").
@@ -532,6 +540,33 @@ class TestSubcommands:
         finite = {(j, m) for j, m, fin in tables[0]["rows"] if fin}
         assert [j for j in range(3) if (j, 2) in finite] == [2]
         assert [j for j in range(4) if (j, 3) in finite] == [0, 1, 2, 3]
+
+    def test_wpoly_at_the_edge_of_float_range(self, files, capsys):
+        # x^2 overflows at 1e308: p_(0;0,3) = x^2/2 - x + 1 - e^-x is +inf
+        # there, and -inf at -1e308, where e^-x dominates.
+        code = main(["--format", "json", "wpoly", "--gauges", files["g61"],
+                     "--t", "0", "--j", "0", "--m", "3", "--x=1e308,-1e308"])
+        assert code == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert rows == [[1e308, math.inf], [-1e308, -math.inf]]
+
+    def test_finiteness_method_on_arctan_cheb(self, tmp_path, capsys):
+        # W = atan settles p_(a;0,1) without a probe window; --probe opens
+        # them, and the rows agree.
+        gauges = tmp_path / "arctan.json"
+        gauges.write_text(json.dumps({
+            "interval": {"a": "-inf", "b": "inf"},
+            "kind": "table", "params": ["arctan_cheb"],
+        }))
+        tables = []
+        for probe in ([], ["--probe"]):
+            code = main(["--format", "json", "finiteness", "--gauges", str(gauges),
+                         "--n", "1"] + probe)
+            assert code == 0
+            tables.append(json.loads(capsys.readouterr().out))
+        assert [t["method"] for t in tables] == ["analytic", "probe"]
+        assert tables[0]["rows"] == tables[1]["rows"] == [
+            [0, 0, True], [0, 1, True], [1, 1, True]]
 
     def test_finiteness(self, files, capsys):
         code = main([

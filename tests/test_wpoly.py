@@ -28,6 +28,7 @@ from gmono import (
     chain_t_handle,
     finiteness_set,
     interpolate,
+    stein_gauges,
 )
 from gmono import wpoly
 from gmono.wpoly import FULL, NEGATIVE, POSITIVE, chain_t_two_arg
@@ -469,6 +470,15 @@ class TestTwoArgBroadcast:
         with pytest.raises(GaugeError):
             chain_t_handle(g, 0.0, 0, 1).eval(1.0)
 
+    def test_one_level_zero_gauge_left_of_every_anchor(self):
+        # Cells with x < t are 0 without a check of w_0 there: w_0(-6) = 0
+        # left of both anchors does not raise.
+        g = TableGauge(R, [lambda x: 0.0 if x == -6.0 else 2.0, lambda x: 1.0],
+                       antiderivs=[None, lambda x: x])
+        got = chain_t_two_arg(g, 0, 1)(np.array([[-1.0], [0.0]]),
+                                      np.array([[-6.0, 0.0, 1.0]]))
+        assert got.tolist() == [[0.0, 2.0, 4.0], [0.0, 0.0, 2.0]]
+
     @pytest.mark.parametrize(
         "g", [UnitGauge(R), ExponentialGauge(R, [0.0, 0.0, 0.5, -1.0, 1.0])],
         ids=["unit", "exponential"])
@@ -729,6 +739,26 @@ class TestXRing:
             assert np.all(got[np.isinf(got)] == want[np.isinf(want)])
             fin = np.isfinite(want)
             assert np.all(np.abs(got[fin] - want[fin]) <= 1e-14 * np.abs(want[fin]))
+
+    def test_terms_past_float_range(self):
+        # At |x| = 1e308, x^d overflows: the term joins the dominant-term
+        # rule by its log-magnitude, signed c (sign x)^d, or is 0 below
+        # e^-745; eval_many hands those cells to eval.  Other values keep
+        # their term-by-term arithmetic.
+        inf = math.inf
+        xs = [1e308, -1e308, 1e200, -1e200]
+        for terms, want in [
+            # G61's p_(0;0,3) = x^2/2 - x + 1 - e^-x.
+            ({(2, 0.0): 0.5, (1, 0.0): -1.0, (0, 0.0): 1.0, (0, -1.0): -1.0},
+             [inf, -inf, inf, -inf]),
+            ({(3, 0.0): 1.0, (0, 0.0): -5.0}, [inf, -inf, inf, -inf]),
+            ({(3, -1.0): 2.0, (1, 0.0): 1.0}, [1e308, -inf, 1e200, -inf]),
+        ]:
+            p = wpoly.ExpPoly(terms)
+            assert [p.eval(x) for x in xs] == want, terms
+            assert p.eval_many(np.array(xs)).tolist() == want, terms
+        p = wpoly.ExpPoly({(3, -1.0): 2.0, (1, 0.0): 1.0})
+        assert p.eval(2.0) == 2.0 * 2.0**3 * math.exp(-2.0) + 2.0
 
 
 class TestFiniteOpenLeftEndpoint:
@@ -1000,6 +1030,20 @@ class TestTransferReads:
                     want = he.eval(x)
                     assert abs(v - want) <= 1e-10 * (1.0 + abs(want)), (i, k, j, z, x)
         assert seen >= 3
+
+    def test_chen_split_coefficients_share_the_start_probe(self, monkeypatch):
+        # p_(a;1,4) probes, and the coefficient chains p_(a;2,4) and
+        # p_(a;3,4) read its windows instead of building their own.
+        windows = []
+        extend = wpoly._WindowSweep._extend
+        monkeypatch.setattr(wpoly._WindowSweep, "_extend",
+                            lambda sweep: windows.append(sweep) or extend(sweep))
+        lams = [0.5, -1.0, 1.0, 0.3, 1.5]
+        h = chain_az_handle(table_clone(lams), 0.6, 0, 1, 4)
+        assert len(windows) == 3 and len(set(map(id, windows))) == 1
+        want = chain_az_handle(ExponentialGauge(R, lams), 0.6, 0, 1, 4)
+        for x in (-1.0, 1.0, 2.5):
+            assert h.eval(x) == pytest.approx(want.eval(x), rel=1e-10, abs=1e-10)
 
     def test_one_level_reads_both_sides_of_its_anchor(self):
         # p_{t;0,1}(x) = w_0(x) (W(x) - W(t)), W the antiderivative of w_1,
@@ -1273,6 +1317,51 @@ class TestFinitenessSet:
             fs = finiteness_set(g, 4)
             assert fs.F_kn(1) == [1]
             assert chain_t_handle(g, g.interval.a, 1, 4)._full_evaluator().divergent
+
+    @pytest.mark.parametrize("g, n", [
+        (UnitGauge(R), 3),
+        (G61, 5),
+        (PowerGauge(Interval(0.0, math.inf), 0.0, [1.0, -0.5, 2.0, 0.5]), 3),
+        (arctan_cheb_gauges(), 1),
+        (table_clone([0.5, -1.0, 1.0, 0.3]), 3),
+        (stein_gauges(), 1),
+        # W(-inf) is NaN: the probe decides, and the chain is finite.
+        (TableGauge(R, [lambda x: 1.0, lambda x: 1.0 / (1.0 + abs(x)) ** 2],
+                    antiderivs=[None, lambda x: x / (1.0 + abs(x))]), 1),
+        # W = log raises at a = 0: the probe decides, and the chain diverges.
+        (TableGauge(Interval(0.0, math.inf), [lambda x: 1.0, lambda x: 1.0 / x],
+                    antiderivs=[None, math.log]), 1),
+    ], ids=["unit", "exponential", "power", "arctan_cheb", "clone", "stein",
+            "nan-at-a", "raises-at-a"])
+    def test_table_is_every_handles_divergence(self, g, n):
+        fs = finiteness_set(g, n)
+        a = g.interval.a
+        for m in range(n + 1):
+            for j in range(m + 1):
+                h = chain_t_handle(g, a, j, m)
+                assert fs.contains(j, m) == (not h._full_evaluator().divergent), (j, m)
+
+    def test_one_level_rule_needs_a_number_at_a(self):
+        # W(-inf) = -inf/inf is NaN, and log(0) raises: both chains take
+        # the probe, which finds the first finite and the second divergent.
+        g = TableGauge(R, [lambda x: 1.0, lambda x: (1.0 + x * x) ** -1.5],
+                       antiderivs=[None, lambda x: x / math.sqrt(1.0 + x * x)])
+        v = chain_t_handle(g, -math.inf, 0, 1).eval(1.0)
+        assert math.isfinite(v) and v > 1.0
+        g = TableGauge(Interval(0.0, math.inf), [lambda x: 1.0, lambda x: 1.0 / x],
+                       antiderivs=[None, math.log])
+        assert chain_t_handle(g, 0.0, 0, 1).eval(1.0) == math.inf
+
+    def test_arctan_table_needs_no_probe(self, monkeypatch):
+        # W = atan has the number -pi/2 at -inf: the table reads the
+        # handles' one-level rule and opens no probe window.
+        calls = []
+        real = wpoly._probe_left_chain
+        monkeypatch.setattr(wpoly, "_probe_left_chain",
+                            lambda *a: calls.append(a) or real(*a))
+        fs = finiteness_set(arctan_cheb_gauges(), 1)
+        assert calls == []
+        assert fs.method == "analytic" and fs.table == ((True, True), (True,))
 
     def test_table_is_the_chains_divergence(self):
         # Decimal exponents whose suffix sums cancel to rounding noise.
