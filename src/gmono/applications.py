@@ -171,14 +171,18 @@ def cheb_ratio(q: RatioQuery) -> float:
 
 def cheb_ratio_quadrature(q: RatioQuery) -> float:
     """Independent route: adaptive quadrature against the Cauchy part, in
-    its tan substitution, split at the kinks of the tau operands."""
+    its tan substitution, split at the kinks of the tau operands.  The
+    three integrals are three rows of one integral, each operand called
+    once per node."""
     f1, f2 = _as_callable(q.f1), _as_callable(q.f2)
     kinks = [float(spec[1]) for spec in (q.f1, q.f2)
              if isinstance(spec, tuple) and spec[0] == "tau"]
-    mu = CauchyPart()
-    i1 = mu.integrate(f1, kinks)
-    i2 = mu.integrate(f2, kinks)
-    i12 = mu.integrate(lambda x: f1(x) * f2(x), kinks)
+
+    def rows(xs):
+        y1, y2 = (np.array([f(x) for x in xs.tolist()], dtype=float) for f in (f1, f2))
+        return np.stack([y1, y2, y1 * y2])
+
+    i1, i2, i12 = CauchyPart().integrate(rows, kinks)
     if i1 <= 0 or i2 <= 0:
         raise DomainError("degenerate denominator in the ratio")
     return i12 / (i1 * i2)

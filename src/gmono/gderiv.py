@@ -278,10 +278,11 @@ class MixtureLevels:
                 raise PreconditionError(f"divergent mixture at level {level}")
             acc += mass * v
         if mu.continuous is not None:
-            c = mu.continuous.integrate(
-                lambda t: fn(t, x) if t >= y else 0.0,
-                breakpoints=[v for v in (y, x) if math.isfinite(v)],
-            )
+            def cells(ts):  # no anchor below y
+                out, on = np.zeros(len(ts)), ts >= y
+                out[on] = fn(ts[on], float(x))
+                return out
+            c = mu.continuous.integrate(cells, breakpoints=(y, x))
             if not math.isfinite(c):
                 raise PreconditionError(f"divergent mixture at level {level}")
             acc += c
@@ -293,8 +294,7 @@ class MixtureLevels:
         acc = math.fsum(m for t, m in mu.atoms if y <= t <= x)
         if mu.continuous is not None:
             acc += mu.continuous.integrate(
-                lambda t: 1.0 if y <= t <= x else 0.0,
-                breakpoints=[v for v in (y, x) if math.isfinite(v)],
+                lambda ts: ((y <= ts) & (ts <= x)).astype(float), breakpoints=(y, x),
             )
         return acc
 

@@ -17,7 +17,6 @@ indicator rather than the constant 1.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -150,41 +149,90 @@ def _normal_tail_moment(c: float, n: int) -> float:
     return math.factorial(n) * math.prod(ratios) * _phi(c)
 
 
-def _quad(f, a, b, limit=200) -> float:
-    """scipy.quad with divergence surfacing.
+# QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (qk21) in doubles: its
+# nodes, its weights, and those of the 10-point Gauss rule it extends.
+_XGK = np.array([0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
+                 0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
+                 0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
+                 0.14887433898163122, 0.0])
+_WGK = np.array([0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+                 0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+                 0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+                 0.14773910490133849, 0.1494455540029169])
+_WG = np.zeros(11)  # 0 at the Kronrod nodes the Gauss rule lacks
+_WG[1::2] = [0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+             0.26926671930999635, 0.29552422471475287]
+_NODES, _WK = np.concatenate([-_XGK[:-1], _XGK]), np.concatenate([_WGK[:-1], _WGK])
+_KG = np.stack([_WK, np.concatenate([_WG[:-1], _WG])], axis=1)
+_EPSABS, _EPSREL = 1e-12, 1e-11
+_BUDGET = 400  # subintervals of one integral, all its pieces together
 
-    A nonzero convergence flag on a nonnegative-type integrand is treated
-    as divergence (+inf) rather than trusted as a number; measure-side
-    integrands here are smooth densities times chain polynomials, for which
-    quadpack failures mean non-integrable growth, not oscillation.
+
+def _kronrod(F, lo, hi, c, side):
+    """The 21-point estimate of the integral over each interval [lo, hi]
+    and QUADPACK's error estimate for it, (rows, intervals) each, from one
+    F call; and F's leading shape.  side = +-1 maps x = c + side (1 - s)/s."""
+    half = 0.5 * (hi - lo)
+    s = (lo + half)[:, None] + half[:, None] * _NODES
+    inv, mapped = 1.0 / s, (side != 0.0)[:, None]
+    x = np.where(mapped, c[:, None] + side[:, None] * (inv - 1.0), s)
+    y = np.asarray(F(x.ravel()), dtype=float)
+    lead = y.shape[:-1]
+    y = y.reshape(-1, *s.shape) * np.where(mapped, inv * inv, 1.0)
+    kg = y @ _KG
+    k = kg[..., 0]
+    asc = np.abs(y - 0.5 * k[..., None]) @ _WK
+    # fmin reads the 0/0 of a constant integrand (asc = 0) as 1.
+    err = half * asc * np.fmin(1.0, (200.0 * np.abs(k - kg[..., 1]) / asc) ** 1.5)
+    return k * half, err, lead
+
+
+def _integrate(F, a: float, b: float, breaks=(), weight: float = 1.0):
+    """weight times the integral of F over [a, b], split at the breaks
+    inside it: a float per row of F (one row, or several such as gmoment's
+    two signs), in F's leading shape.  Adaptive Gauss-Kronrod 10/21: each
+    round reads all new intervals in one F call, and each row whose
+    estimate is above tol = max(1e-12, 1e-11 |v|) bisects every interval
+    above tol / P, P intervals.  A row whose value is not finite, or that
+    has not converged within _BUDGET subintervals, reads +inf: on these
+    integrands that is non-integrable growth.  An infinite end maps as in
+    QUADPACK's qagi, x = c +- (1 - s)/s over s in (0, 1].
     """
-    from scipy import integrate  # loaded by the quadrature routes only
+    edges = [a] + sorted(p for p in breaks if a < p < b) + [b]
+    if len(edges) == 2 and math.isinf(a) and math.isinf(b):
+        edges.insert(1, 0.0)
+    ivs = np.array([(0.0, 1.0, v, -1.0) if math.isinf(u) else
+                    (0.0, 1.0, u, 1.0) if math.isinf(v) else (u, v, 0.0, 0.0)
+                    for u, v in zip(edges[:-1], edges[1:])]).T  # lo, hi, c, side
+    with np.errstate(all="ignore"):
+        vals, errs, lead = _kronrod(F, *ivs)
+        while True:
+            total = vals.sum(axis=1)
+            tol = np.maximum(_EPSABS, _EPSREL * np.abs(total))
+            short = np.isfinite(total) & (errs.sum(axis=1) > tol)
+            if not short.any():
+                break
+            pick = (errs[short] > tol[short, None] / ivs.shape[1]).any(axis=0)
+            if ivs.shape[1] + pick.sum() > _BUDGET:
+                break
+            new = np.repeat(ivs[:, pick], 2, axis=1)  # two halves of each
+            new[1, ::2] = new[0, 1::2] = 0.5 * (new[0, ::2] + new[1, ::2])
+            v, e, _ = _kronrod(F, *new)
+            ivs = np.concatenate([ivs[:, ~pick], new], axis=1)
+            vals = np.concatenate([vals[:, ~pick], v], axis=1)
+            errs = np.concatenate([errs[:, ~pick], e], axis=1)
+    done = np.isfinite(total) & ~short
+    return np.where(done, weight * total, math.inf).reshape(lead).tolist()
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        out = integrate.quad(
-            f, a, b, epsabs=1e-12, epsrel=1e-11, limit=limit, full_output=1
-        )
-    val, abserr = out[0], out[1]
-    ier = 0 if len(out) == 3 else 1
-    if ier != 0 or not math.isfinite(val):
-        return math.inf
-    if abserr > 1e-6 * (1.0 + abs(val)):
-        return math.inf
-    return val
+
+def _pointwise(f):
+    """The array form of a scalar function, called once per point."""
+    return lambda xs: np.fromiter(map(f, np.asarray(xs, float).tolist()), float, len(xs))
 
 
-def _quad_pieces(f, lo, hi, breakpoints, weight, limit=200) -> float:
-    """weight * the integral of f over [lo, hi], one _quad per piece between
-    the breakpoints inside it; inf as soon as a piece is."""
-    edges = [lo] + sorted(p for p in breakpoints if lo < p < hi) + [hi]
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        v = _quad(f, a, b, limit)
-        if not math.isfinite(v):
-            return math.inf
-        total += v
-    return weight * total
+def _signs(f):
+    """The two-row integrand (f+, f-) of an array function f, on one read."""
+    return lambda xs: np.maximum(np.multiply.outer([1.0, -1.0], f(xs)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +252,9 @@ class _Component:
     def raw_moment(self, r: int) -> float:
         raise NotImplementedError
 
-    def integrate(self, f: Callable[[float], float], breakpoints=()) -> float:
-        """integral f dmu over the component (sign-carrying f allowed)."""
+    def integrate(self, f: Callable[[np.ndarray], np.ndarray], breakpoints=()):
+        """integral f dmu over the component (sign-carrying f allowed): f maps
+        an array of points to rows of values, each a float, +inf if divergent."""
         raise NotImplementedError
 
     def integrate_ring(self, ring: XRing, iv: Interval) -> Optional[float]:
@@ -239,12 +288,11 @@ class NormalPart(_Component):
     def raw_moment(self, r: int) -> float:
         return self.weight * _normal_raw_moments(self.mean, self.sd, r)[r]
 
-    def integrate(self, f, breakpoints=()) -> float:
-        return _quad_pieces(
-            lambda x: f(x) * _phi((x - self.mean) / self.sd) / self.sd,
-            self.mean - 12 * self.sd, self.mean + 12 * self.sd,
-            breakpoints, self.weight,
-        )
+    def integrate(self, f, breakpoints=()):
+        c = 1.0 / (math.sqrt(2.0 * math.pi) * self.sd)
+        pdf = lambda xs: c * np.exp(-0.5 * ((xs - self.mean) / self.sd) ** 2)
+        return _integrate(lambda xs: f(xs) * pdf(xs), self.mean - 12 * self.sd,
+                          self.mean + 12 * self.sd, breakpoints, self.weight)
 
     def integrate_ring(self, ring: XRing, iv: Interval) -> Optional[float]:
         """``_tilted_moment`` of the ring over its region.  None off the
@@ -355,11 +403,10 @@ class PoissonPart(_Component):
             acc += math.comb(r, i) * self.scale**i * self.shift ** (r - i) * m[i]
         return self.weight * acc
 
-    def integrate(self, f, breakpoints=()) -> float:
-        acc = 0.0
-        for k, p in self._pmf_iter():
-            acc += p * f(self.support_point(k))
-        return self.weight * acc
+    def integrate(self, f, breakpoints=()):
+        """Per row of f, pmf times f summed in the sweep's order (cumsum)."""
+        xs, ps = self.support()
+        return (self.weight * np.cumsum(f(xs) * ps, axis=-1)[..., -1]).tolist()
 
     def integrate_ring(self, ring: XRing, iv: Interval) -> Optional[float]:
         """The sweep of integrate over the same support and pmf, with the
@@ -407,12 +454,10 @@ class CauchyPart(_Component):
             return self.weight
         raise UndefinedMomentError("standard Cauchy has no moments of order >= 1")
 
-    def integrate(self, f, breakpoints=()) -> float:
+    def integrate(self, f, breakpoints=()):
         # Substitute x = tan(u): finite-range integral, exact weight du/pi.
-        return _quad_pieces(
-            lambda u: f(math.tan(u)) / math.pi, -math.pi / 2, math.pi / 2,
-            [math.atan(p) for p in breakpoints], self.weight,
-        )
+        return _integrate(lambda us: f(np.tan(us)) / math.pi, -math.pi / 2, math.pi / 2,
+                          [math.atan(p) for p in breakpoints], self.weight)
 
     def reflected(self) -> "CauchyPart":
         return self
@@ -453,34 +498,15 @@ class DensityPart(_Component):
 
     def pm(self, t: float, n: int) -> float:
         self._check_order(n)
-        lo = max(t, self.support[0])
-        hi = self.support[1]
-        if n == 0:
-            f = lambda x: self.pdf(x)
-        else:
-            f = lambda x: self.pdf(x) * (x - t) ** n
-        v = _quad(f, lo, hi, limit=400)
-        if not math.isfinite(v):
-            return math.inf
-        return self.weight * v
+        return self.integrate(lambda xs: np.where(xs >= t, (xs - t) ** n, 0.0), [t])
 
     def raw_moment(self, r: int) -> float:
         self._check_order(r)
-        pos = _quad(
-            lambda x: max(self.pdf(x) * x**r, 0.0),
-            self.support[0], self.support[1], limit=400,
-        )
-        neg = _quad(
-            lambda x: max(-self.pdf(x) * x**r, 0.0),
-            self.support[0], self.support[1], limit=400,
-        )
-        return self.weight * _ext_sum(pos, neg)
+        return _ext_sum(*self.integrate(_signs(lambda xs: xs**r)))
 
-    def integrate(self, f, breakpoints=()) -> float:
-        return _quad_pieces(
-            lambda x: f(x) * self.pdf(x), *self.support, breakpoints,
-            self.weight, limit=400,
-        )
+    def integrate(self, f, breakpoints=()):
+        return _integrate(lambda xs: f(xs) * _pointwise(self.pdf)(xs), *self.support,
+                          breakpoints, self.weight)
 
     def reflected(self) -> "DensityPart":
         pdf = self.pdf
@@ -563,26 +589,26 @@ def gmoment(nu: MeasureRep, p, breakpoints: Sequence[float] = ()) -> float:
 
     Positive and negative parts are integrated separately; the value may be
     +inf or -inf, and UndefinedMomentError signals that both parts diverge.
-    Atoms are point evaluations, a handle's as one ``values`` call over
-    the atoms of nonzero mass.  A normal or Poisson part integrates a
-    handle whose chain is a ring in x (``WPolyHandle.x_ring``: unit and
-    exponential gauges) exactly, through the part's ``integrate_ring``.
+    A callable p is read one point at a time.  Atoms are point evaluations,
+    one read over the atoms of nonzero mass.  A normal or Poisson part
+    integrates a handle whose chain is a ring in x (``WPolyHandle.x_ring``:
+    unit and exponential gauges) exactly, through its ``integrate_ring``.
     Every other pair (Cauchy and density parts; table and power gauges;
     interp handles and plain callables) goes through the part's
-    ``integrate``, once per sign, with one value of p per node, and with
+    ``integrate`` with both signs as two rows of one read of p, and with
     the anchor of a chain handle (t, or z) as a breakpoint: a part of p_t
     is cut off at t, and p_(a,z) can change sign at z.
     Condition (iii) of the dominance check calls this only for the parts
     its grid batch does not cover (``dual_cone._grid_rows``).
     """
-    f = p.eval if isinstance(p, WPolyHandle) else p
+    f = p.values if isinstance(p, WPolyHandle) else _pointwise(p)
     if isinstance(p, WPolyHandle) and p.tag in ("chain_t", "chain_az"):
         breakpoints = tuple(breakpoints) + (p.family[1],)  # t, or z
     pos = 0.0
     neg = 0.0
     atoms = [(x, mass) for x, mass in nu.atoms if mass != 0.0]
     xs = [x for x, _ in atoms]
-    vals = p.values(xs).tolist() if xs and isinstance(p, WPolyHandle) else [f(x) for x in xs]
+    vals = f(xs).tolist() if xs else []
     for (_, mass), v in zip(atoms, vals):
         if v > 0:
             pos += mass * v if math.isfinite(v) else math.inf
@@ -595,25 +621,9 @@ def gmoment(nu: MeasureRep, p, breakpoints: Sequence[float] = ()) -> float:
         if v is not None:
             vpos, vneg = max(v, 0.0), max(-v, 0.0)
         else:
-            bps = [b for b in breakpoints if math.isfinite(b)]
-            memo = {}  # both passes start on the same quadrature nodes
-
-            def value(x: float) -> float:
-                y = memo.get(x)
-                if y is None:
-                    y = memo[x] = f(x)
-                return y
-
-            vpos = part.integrate(lambda x: max(value(x), 0.0), bps)
-            vneg = part.integrate(lambda x: max(-value(x), 0.0), bps)
-        if not math.isfinite(vpos):
-            pos = math.inf
-        else:
-            pos += vpos
-        if not math.isfinite(vneg):
-            neg = math.inf
-        else:
-            neg += vneg
+            vpos, vneg = part.integrate(_signs(f), breakpoints)
+        pos += vpos if math.isfinite(vpos) else math.inf
+        neg += vneg if math.isfinite(vneg) else math.inf
     return _ext_sum(pos, neg)
 
 

@@ -1248,9 +1248,7 @@ def chain_t_two_arg(g: GaugeSpec, j: int, m: int) -> Callable:
     chain's value where x >= t and 0 where x < t.
 
     Arrays broadcast against each other and give an array; a pair of
-    floats gives a float, from the array call on one cell (unit and
-    exponential gauges keep their own scalar arithmetic for it, which a
-    quadrature's one-point integrand needs for speed).  An anchor left
+    floats gives a float, from the array call on one cell.  An anchor left
     of a raises DomainError, and so does t = a at an open a under a
     gauge with no closed form.  One array route per gauge kind:
 
@@ -1319,8 +1317,6 @@ def chain_t_two_arg(g: GaugeSpec, j: int, m: int) -> Callable:
             raise DomainError(f"anchor t={float(np.min(t))} not in {iv}")
         if not scalar:
             return grid(t, x)
-        if ring is not None and log_base is None:  # grid's cells, far cheaper
-            return _safe_exp(sigma * t) * base.eval(x - t) if x - t >= 0.0 else 0.0
         return float(grid(np.array([float(t)]), np.array([float(x)]))[0])
 
     return family

@@ -51,22 +51,22 @@ class TestChebRatio:
             )
 
     def test_quadrature_goes_through_the_cauchy_part(self, monkeypatch):
-        # The quadrature route integrates against CauchyPart, one
-        # measures._quad call per piece: three integrals, each split at
-        # the kink 0.5.
+        # The quadrature route integrates against CauchyPart, in its tan
+        # substitution: one measures._integrate call for the three
+        # integrals, split at the kink 0.5.
         from gmono import measures
 
         calls = []
-        real = measures._quad
+        real = measures._integrate
 
         def counted(*args, **kwargs):
-            calls.append(args[1:3])
+            calls.append(args[1:4])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(measures, "_quad", counted)
+        monkeypatch.setattr(measures, "_integrate", counted)
         q = RatioQuery("rho", ("tau", 0.5))
         assert cheb_ratio_quadrature(q) == pytest.approx(cheb_ratio(q), rel=1e-12)
-        assert len(calls) == 6
+        assert calls == [(-math.pi / 2, math.pi / 2, [math.atan(0.5)])]
 
     def test_limits(self):
         assert cheb_ratio(RatioQuery("rho", ("tau", -1e9))) == pytest.approx(

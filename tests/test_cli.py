@@ -118,16 +118,31 @@ class TestExitCodes:
             assert b"BrokenPipeError" not in proc.stderr
 
     def test_import_loads_no_scipy(self):
-        # scipy is loaded by the quadrature routes only, not by the import.
+        # scipy is a test-only dependency: neither the import nor the
+        # quadrature routes load it.
         src = os.path.dirname(os.path.dirname(os.path.abspath(gmono.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p
         )
+        script = "\n".join([
+            "import math, sys, gmono.cli",
+            "from gmono import Interval, UnitGauge, arctan_cheb_gauges",
+            "from gmono.applications import RatioQuery, cheb_ratio_quadrature",
+            "from gmono.gderiv import mixture_function",
+            "from gmono.measures import CauchyPart, DensityPart, MeasureRep, NormalPart, gmoment",
+            "from gmono.wpoly import chain_t_handle",
+            "R = Interval(-math.inf, math.inf)",
+            "gmoment(MeasureRep(R, continuous=CauchyPart()),"
+            " chain_t_handle(arctan_cheb_gauges(), 0.5, 0, 1))",
+            "DensityPart(pdf=math.exp, support=(0.0, 1.0)).pm(0.5, 2)",
+            "mixture_function(MeasureRep(R, continuous=NormalPart(0.0, 1.0)),"
+            " arctan_cheb_gauges(), 0, 1).func(0.3)",
+            "cheb_ratio_quadrature(RatioQuery('rho', ('tau', 0.5)))",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ])
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, gmono.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            [sys.executable, "-c", script],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr

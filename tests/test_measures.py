@@ -5,6 +5,7 @@ direct finite sums for atoms, symmetry identities for reflection.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,13 @@ class TestGmoment:
     def test_one_sided_infinite(self):
         nu = MeasureRep(R, continuous=CauchyPart())
         assert gmoment(nu, lambda x: abs(x)) == math.inf
+
+    def test_each_sign_diverges_on_its_own(self):
+        # Both signs are rows of one read: the positive part grows like x
+        # and diverges, the negative part is bounded by 1/(1 + x^2), so the
+        # moment is +inf and not undefined.
+        nu = MeasureRep(R, continuous=CauchyPart())
+        assert gmoment(nu, lambda x: max(x, 0.0) - 1.0 / (1.0 + x * x)) == math.inf
 
     @given(
         st.lists(
@@ -217,6 +225,18 @@ class TestPartialMoments:
         direct = sum(m * (x - t) ** 3 for x, m in nu.atoms)
         assert pm == pytest.approx(direct)
 
+    def test_density_above_its_support(self):
+        # exp on [0, 1] has no mass at or beyond t = 2; the integral used to
+        # run from 2 down to 1 and give -4.67, 1.95 and -1.19.
+        part = DensityPart(pdf=math.exp, support=(0.0, 1.0))
+        nu = MeasureRep(R, continuous=part)
+        for n in range(4):
+            assert part.pm(2.0, n) == 0.0
+            assert partial_moment(nu, 2.0, n) == 0.0
+            assert part.pm(1.0, n) == 0.0
+        assert part.pm(0.5, 1) == pytest.approx(math.exp(0.5) - math.exp(1.0) / 2.0,
+                                                rel=1e-12)
+
     def test_cauchy_divergent_tail(self):
         nu = MeasureRep(R, continuous=CauchyPart())
         assert partial_moment(nu, 0.0, 1) == math.inf
@@ -279,8 +299,10 @@ class TestExactRingMoments:
         g = ExponentialGauge(Interval(0.0, math.inf), [0.5, 1.0])
         h = chain_t_handle(g, 4.0, 0, 1)
         assert h.x_ring() is not None
-        with pytest.raises(DomainError, match="point -4.0 outside interval"):
+        with pytest.raises(DomainError, match=r"outside interval \(0\.0, inf\)") as err:
             gmoment(MeasureRep(R, continuous=NormalPart(0.0, 1.0)), h)
+        point = re.search(r"point (\S+) outside", str(err.value)).group(1)
+        assert float(point) <= 0.0
 
     def test_poisson_anchor_on_the_support(self):
         # The chain is exactly 0 at its anchor, a support point here; a
@@ -292,7 +314,7 @@ class TestExactRingMoments:
                 h = chain_t_handle(g, 1.0, j, m, part=kind)
                 ring = h.x_ring()
                 assert (ring.anchor is None) == (j == m)
-                want = part.integrate(h.eval)
+                want = part.integrate(h.values)
                 got = part.integrate_ring(ring, g.interval)
                 assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
 
@@ -313,8 +335,8 @@ class TestExactRingMoments:
         assert gmoment(MeasureRep(R, continuous=part), h) == math.inf
 
     def test_quadrature_route_values_each_node_once(self):
-        # A Cauchy part has no exact route: both sign passes share one
-        # value per node, and the result is the two passes' difference.
+        # A Cauchy part has no exact route: both signs are two rows of one
+        # read per node, and the result is the rows' difference.
         nu = MeasureRep(R, continuous=CauchyPart())
         seen = []
 
@@ -324,8 +346,12 @@ class TestExactRingMoments:
 
         v = gmoment(nu, f)
         assert len(seen) == len(set(seen))
-        pos = nu.continuous.integrate(lambda x: max(f(x), 0.0))
-        neg = nu.continuous.integrate(lambda x: max(-f(x), 0.0))
+
+        def rows(xs):
+            y = np.array([f(x) for x in xs.tolist()])
+            return np.stack([np.maximum(y, 0.0), np.maximum(-y, 0.0)])
+
+        pos, neg = nu.continuous.integrate(rows)
         assert v == pos - neg
 
     @pytest.mark.parametrize("mean, sd", [(-0.0116, 0.784), (0.01, 0.5)])
@@ -356,7 +382,7 @@ class TestExactRingMoments:
                                draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.5, 1.5)),
                                draw(st.floats(-3.0, 3.0)), draw(st.floats(0.1, 2.0)))
         got = part.integrate_ring(h.x_ring(), g.interval)
-        want = part.integrate(h.eval, [h.family[1]])
+        want = part.integrate(h.values, [h.family[1]])
         assert abs(got - want) <= 1e-9 * (1.0 + abs(got))
 
 
@@ -487,3 +513,90 @@ class TestSerialization:
     def test_poisson_round_trip(self):
         nu = MeasureRep(R, continuous=PoissonPart(10.0, scale=0.2, shift=-1.0))
         assert measure_from_dict(measure_to_dict(nu)).continuous == nu.continuous
+
+
+def _reference(f, pdf, edges) -> float:
+    """The integral of f * pdf between the edges by scipy's quad, one piece
+    at a time."""
+    return math.fsum(squad(lambda x: f(x) * pdf(x), a, b, epsabs=1e-14,
+                           epsrel=1e-13, limit=400)[0]
+                     for a, b in zip(edges[:-1], edges[1:]))
+
+
+def _normal_pdf(part: NormalPart):
+    c = part.weight / (part.sd * math.sqrt(2.0 * math.pi))
+    return lambda x: c * math.exp(-0.5 * ((x - part.mean) / part.sd) ** 2)
+
+
+class TestIntegratorAgainstScipy:
+    """The array integrator against scipy's quad, read in x one point at a
+    time, to 1e-12 (1 + |v|); the verdicts are those of the scipy route it
+    replaced."""
+
+    TOL = 1e-12
+
+    def close(self, got, want):
+        assert abs(got - want) <= self.TOL * (1.0 + abs(want)), (got, want)
+
+    def test_normal_part_under_a_table_clone(self):
+        # No exact route: every row of the normal side is an integral.
+        lams = [0.0, 0.5, -1.0, 1.0, 0.5]
+        g = TableGauge(R, [(lambda x, l=l: math.exp(l * x)) for l in lams])
+        part = NormalPart(0.3, 1.2)
+        nu2 = MeasureRep(R, continuous=part)
+        k, n = 1, 4
+        rep = check_dominance(MeasureRep(R, atoms=[(-0.5, 0.5), (1.0, 0.5)]), nu2,
+                              ConeSpec(g, k, n))
+        assert rep.verdict == "fails"
+        lo, hi = part.mean - 12 * part.sd, part.mean + 12 * part.sd
+        handles = [chain_t_handle(g, rep.s, 0, i) for i in range(k)]
+        handles += [chain_az_handle(g, rep.z, 0, k, j) for j in finiteness_set(g, n).F_kn(k)]
+        rows = list(rep.cond_i + rep.cond_ii)
+        for t, row in list(zip(rep.t_grid, rep.cond_iii))[::8]:
+            handles.append(chain_t_handle(g, t, 0, n, part=POSITIVE))
+            rows.append(row)
+        assert len(rows) == len(handles) >= 10
+        for h, row in zip(handles, rows):
+            cut = h.family[1]
+            edges = [lo, cut, hi] if lo < cut < hi else [lo, hi]
+            self.close(row.v2, _reference(h.eval, _normal_pdf(part), edges))
+
+    @pytest.mark.parametrize("part, verdict", [
+        (CauchyPart(), "dominates"),
+        (DensityPart(pdf=lambda x: 0.5 * math.exp(-abs(x)),
+                     tail_decay_hint=("exponential", 1.0)), "fails"),
+    ], ids=["cauchy", "density"])
+    def test_parts_against_atoms_under_arctan_cheb(self, part, verdict):
+        g = arctan_cheb_gauges()
+        if isinstance(part, CauchyPart):
+            pdf = lambda x: 1.0 / (math.pi * (1.0 + x * x))
+        else:
+            pdf = part.pdf
+        nu1 = MeasureRep(R, continuous=part)
+        rep = check_dominance(nu1, MeasureRep(R, atoms=[(-1.0, 0.5), (1.0, 0.5)]),
+                              ConeSpec(g, 1, 1))
+        assert rep.verdict == verdict
+        handles = [chain_t_handle(g, rep.s, 0, 0), chain_az_handle(g, rep.z, 0, 1, 1)]
+        handles += [chain_t_handle(g, t, 0, 1, part=POSITIVE) for t in rep.t_grid]
+        rows = rep.cond_i + rep.cond_ii + rep.cond_iii
+        assert len(rows) == len(handles)
+        for h, row in zip(handles, rows):
+            # The route's pieces: the density's kink at 0 is no edge of
+            # them, and at t = -0.684 both routes read 9.1e-10 (relative)
+            # above the value with that edge.
+            edges = [-math.inf, h.family[1], math.inf]
+            self.close(row.v1, _reference(h.eval, pdf, edges))
+
+    def test_normal_mixture_under_arctan_cheb(self):
+        from gmono.gderiv import mixture_function
+        from gmono.wpoly import chain_t_two_arg
+
+        g = arctan_cheb_gauges()
+        part = NormalPart(0.0, 1.0)
+        h = mixture_function(MeasureRep(R, continuous=part), g, 0, 1)
+        fam = chain_t_two_arg(g, 0, 1)
+        for x in np.linspace(-4.0, 4.0, 9).tolist():
+            self.close(h.func(x), _reference(lambda t: fam(t, x), _normal_pdf(part),
+                                             [-12.0, x]))
+            self.close(h.gauged_data(1, x), _reference(lambda t: 1.0, _normal_pdf(part),
+                                                       [-12.0, x]))
