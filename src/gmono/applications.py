@@ -40,6 +40,7 @@ from .measures import (
     MeasureRep,
     NormalPart,
     PoissonPart,
+    _pointwise,
     lower_partial_moment,
     raw_moment,
 )
@@ -171,15 +172,14 @@ def cheb_ratio(q: RatioQuery) -> float:
 
 def cheb_ratio_quadrature(q: RatioQuery) -> float:
     """Independent route: adaptive quadrature against the Cauchy part, in
-    its tan substitution, split at the kinks of the tau operands.  The
-    three integrals are three rows of one integral, each operand called
-    once per node."""
-    f1, f2 = _as_callable(q.f1), _as_callable(q.f2)
+    its tan substitution, split at the kinks of the tau operands; the three
+    integrals are three rows of one, each operand read once per node."""
+    f1, f2 = _pointwise(_as_callable(q.f1)), _pointwise(_as_callable(q.f2))
     kinks = [float(spec[1]) for spec in (q.f1, q.f2)
              if isinstance(spec, tuple) and spec[0] == "tau"]
 
     def rows(xs):
-        y1, y2 = (np.array([f(x) for x in xs.tolist()], dtype=float) for f in (f1, f2))
+        y1, y2 = f1(xs), f2(xs)
         return np.stack([y1, y2, y1 * y2])
 
     i1, i2, i12 = CauchyPart().integrate(rows, kinks)

@@ -162,8 +162,8 @@ _WGK = np.array([0.011694638867371874, 0.032558162307964725, 0.05475589657435199
 _WG = np.zeros(11)  # 0 at the Kronrod nodes the Gauss rule lacks
 _WG[1::2] = [0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
              0.26926671930999635, 0.29552422471475287]
-_NODES, _WK = np.concatenate([-_XGK[:-1], _XGK]), np.concatenate([_WGK[:-1], _WGK])
-_KG = np.stack([_WK, np.concatenate([_WG[:-1], _WG])], axis=1)
+_NODES = np.concatenate([-_XGK[:-1], _XGK])
+_WK, _WG = (np.concatenate([w[:-1], w]) for w in (_WGK, _WG))
 _EPSABS, _EPSREL = 1e-12, 1e-11
 _BUDGET = 400  # subintervals of one integral, all its pieces together
 
@@ -179,11 +179,10 @@ def _kronrod(F, lo, hi, c, side):
     y = np.asarray(F(x.ravel()), dtype=float)
     lead = y.shape[:-1]
     y = y.reshape(-1, *s.shape) * np.where(mapped, inv * inv, 1.0)
-    kg = y @ _KG
-    k = kg[..., 0]
+    k, g = y @ _WK, y @ _WG
     asc = np.abs(y - 0.5 * k[..., None]) @ _WK
     # fmin reads the 0/0 of a constant integrand (asc = 0) as 1.
-    err = half * asc * np.fmin(1.0, (200.0 * np.abs(k - kg[..., 1]) / asc) ** 1.5)
+    err = half * asc * np.fmin(1.0, (200.0 * np.abs(k - g) / asc) ** 1.5)
     return k * half, err, lead
 
 
@@ -196,11 +195,13 @@ def _integrate(F, a: float, b: float, breaks=(), weight: float = 1.0):
     above tol / P, P intervals.  A row whose value is not finite, or that
     has not converged within _BUDGET subintervals, reads +inf: on these
     integrands that is non-integrable growth.  An infinite end maps as in
-    QUADPACK's qagi, x = c +- (1 - s)/s over s in (0, 1].
-    """
+    QUADPACK's qagi, x = c +- (1 - s)/s over s in (0, 1]."""
     edges = [a] + sorted(p for p in breaks if a < p < b) + [b]
-    if len(edges) == 2 and math.isinf(a) and math.isinf(b):
-        edges.insert(1, 0.0)
+    # A round costs about as much for 42 nodes as for 21: each finite piece
+    # starts as two halves, and (-inf, inf) is cut at 0.
+    edges = sorted(edges + [0.5 * (u + v) if math.isfinite(u) else 0.0
+                            for u, v in zip(edges[:-1], edges[1:])
+                            if math.isfinite(u) == math.isfinite(v)])
     ivs = np.array([(0.0, 1.0, v, -1.0) if math.isinf(u) else
                     (0.0, 1.0, u, 1.0) if math.isinf(v) else (u, v, 0.0, 0.0)
                     for u, v in zip(edges[:-1], edges[1:])]).T  # lo, hi, c, side
@@ -210,10 +211,8 @@ def _integrate(F, a: float, b: float, breaks=(), weight: float = 1.0):
             total = vals.sum(axis=1)
             tol = np.maximum(_EPSABS, _EPSREL * np.abs(total))
             short = np.isfinite(total) & (errs.sum(axis=1) > tol)
-            if not short.any():
-                break
             pick = (errs[short] > tol[short, None] / ivs.shape[1]).any(axis=0)
-            if ivs.shape[1] + pick.sum() > _BUDGET:
+            if not short.any() or ivs.shape[1] + pick.sum() > _BUDGET:
                 break
             new = np.repeat(ivs[:, pick], 2, axis=1)  # two halves of each
             new[1, ::2] = new[0, 1::2] = 0.5 * (new[0, ::2] + new[1, ::2])
